@@ -14,7 +14,9 @@ Sub-modules follow the paper's decomposition:
 * :mod:`generator` — invalidation message creation (§4.2.4);
 * :mod:`safety` — lint-derived SAFE / POLL_ONLY / ALWAYS_EJECT
   enforcement verdicts and the conservative-fallback enforcer;
-* :mod:`invalidator` — the orchestrator, plus the two baseline
+* :mod:`decide` — the decision both consumers share: tier assembly, the
+  per-pair cascade and the budgeted poll phase;
+* :mod:`invalidator` — the synchronous cycle, plus the two baseline
   invalidators (trigger-based and materialized-view-based) the paper
   argues against.
 """

@@ -1,10 +1,12 @@
 """The invalidator orchestrator and the two baseline invalidators.
 
-:class:`Invalidator` wires the paper's sub-modules into the cycle shown in
-Figure 11: pull the update log into Δ tables, run the independence check
-for every (live query instance, change) pair, schedule polling queries
-within the budget, and send ``Cache-Control: eject`` messages for every
-affected page.
+:class:`Invalidator` runs the paper's cycle (Figure 11) synchronously:
+pull the update log into Δ tables, decide every (live query instance,
+change) pair, schedule polling queries within the budget, and send
+``Cache-Control: eject`` messages for every affected page.  The decision
+itself — tier assembly, the per-pair cascade and the poll phase — lives
+in :mod:`repro.core.invalidator.decide`, shared with the streaming
+workers; this module is the synchronous glue around it.
 
 :class:`TriggerInvalidator` and :class:`MatViewInvalidator` implement the
 two alternatives the paper rejects (§4, first two paragraphs): DB triggers
@@ -16,28 +18,21 @@ their cost lands on the DBMS, which is the paper's argument.
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.db.engine import Database
 from repro.db.log import ChangeKind, UpdateRecord
 from repro.db.matview import MaterializedViewManager
 from repro.web.cache import WebCache
 from repro.core.qiurl import QIURLMap
-from repro.core.invalidator.analysis import IndependenceChecker, Verdict, VerdictKind
-from repro.core.invalidator.batchpoll import BatchPollExecutor, batch_key
+from repro.core.invalidator.analysis import IndependenceChecker, VerdictKind
+from repro.core.invalidator.decide import Doomed, Lane, build_tiers
 from repro.core.invalidator.generator import InvalidationMessageGenerator
-from repro.core.invalidator.infomgmt import InformationManager
-from repro.core.invalidator.policies import InvalidationPolicy, PolicyEngine
-from repro.core.invalidator.registration import (
-    QueryInstance,
-    QueryTypeRegistry,
-    RegistrationModule,
-)
-from repro.core.invalidator.safety import SafetyEnforcer, SafetyVerdict
-from repro.core.invalidator.scheduler import InvalidationScheduler, PollCandidate
-from repro.core.invalidator.updates import UpdateProcessor, dedupe_records
+from repro.core.invalidator.policies import InvalidationPolicy
+from repro.core.invalidator.registration import QueryTypeRegistry
+from repro.core.invalidator.updates import UpdateProcessor
 
 
 @dataclass
@@ -108,14 +103,8 @@ class InvalidationReport:
         return self.pairs_checked - self.pairs_pruned
 
 
-@dataclass
-class _PollTask:
-    instance: QueryInstance
-    verdict: Verdict
-
-
 class Invalidator:
-    """The CachePortal invalidator (paper §4)."""
+    """The CachePortal invalidator (paper §4): the synchronous consumer."""
 
     def __init__(
         self,
@@ -134,73 +123,39 @@ class Invalidator:
         conflict_matrix: bool = True,
     ) -> None:
         self.database = database
-        self.registry = QueryTypeRegistry()
-        self.registration = RegistrationModule(self.registry)
-        # Safety verdicts (lint-derived) override the precise check for
-        # query types the analyzer cannot reason about soundly.
-        self.safety = SafetyEnforcer(database, enabled=safety_enforcement)
-        self.registry.add_listener(self.safety)
-        self.policy_engine = PolicyEngine(policy)
-        self.updates = UpdateProcessor(database)
-        self.checker = IndependenceChecker()
-        self.grouped_analysis = grouped_analysis
-        # Type-level grouped checking (§4.1.2): structural analysis done
-        # once per query type, shared by all its instances.
-        from repro.core.invalidator.grouping import GroupedChecker
-
-        self.grouped_checker = GroupedChecker()
-        # Static conflict matrix: (template × update-class) disjointness
-        # proved once at registration; both runtime paths consult it
-        # before probing.  Attached before the predicate index so its
-        # listener sees each instance first (index classification may
-        # ask it for whole-table drop proofs).
-        from repro.core.invalidator.conflict import ConflictMatrix
-
-        self.conflict_matrix: Optional[ConflictMatrix] = None
-        if conflict_matrix:
-            self.conflict_matrix = ConflictMatrix(
-                analysis_for=self.grouped_checker.analysis_for,
-                columns_of=self._table_columns,
-            ).attach_to(self.registry)
-        # Predicate index: probes replace most checker invocations; the
-        # registry listener keeps it consistent with discovery/eviction.
-        from repro.core.invalidator.predindex import PredicateIndex
-
-        self.pred_index: Optional[PredicateIndex] = None
-        if predicate_index:
-            self.pred_index = PredicateIndex(
-                analysis_for=self.grouped_checker.analysis_for,
-                conflict=self.conflict_matrix,
-            ).attach_to(self.registry)
-        # Version-key fast path (O(1) per pair): counters prove
-        # single-table instances untouched without a checker run.  Off,
-        # VERSION_KEY pairs simply take the precise checker path — the
-        # A/B arm with bit-identical ejects.
-        from repro.core.invalidator.versionkey import VersionKeyIndex
-
-        self.version_index: Optional[VersionKeyIndex] = None
-        if version_keys:
-            self.version_index = VersionKeyIndex(
-                analysis_for=self.grouped_checker.analysis_for,
-                stamp_source=lambda: self.updates.cursor,
-            ).attach_to(self.registry)
-        self.scheduler = InvalidationScheduler(polling_budget=polling_budget)
-        self.infomgmt = InformationManager(
-            database, self.policy_engine, use_data_cache=use_data_cache
-        )
-        self.polling = self.infomgmt.polling_generator()
-        # Set-oriented polling: fold a cycle's may-affect checks into one
-        # delta-join query per polling-query type.  The per-instance path
-        # stays available as the A/B control arm (and the oracle the
-        # batched verdicts are property-tested against).
-        self.batch_polling = batch_polling
-        self.batch_poller = BatchPollExecutor(self.infomgmt, self.polling)
-        self.messages = InvalidationMessageGenerator(caches)
         self.qiurl_map = qiurl_map
-        #: Resolver: servlet name → temporal sensitivity in ms (§3.1).
-        #: Poll candidates inherit the *tightest* deadline among the
-        #: servlets whose pages they feed.
-        self.servlet_deadline = servlet_deadline
+        self.updates = UpdateProcessor(database)
+        self.tiers = build_tiers(
+            database,
+            qiurl_map,
+            stamp_source=lambda: self.updates.cursor,
+            policy=policy,
+            polling_budget=polling_budget,
+            use_data_cache=use_data_cache,
+            grouped_analysis=grouped_analysis,
+            predicate_index=predicate_index,
+            batch_polling=batch_polling,
+            safety_enforcement=safety_enforcement,
+            version_keys=version_keys,
+            conflict_matrix=conflict_matrix,
+            servlet_deadline=servlet_deadline,
+        )
+        tiers = self.tiers
+        self.registry = tiers.registry
+        self.registration = tiers.registration
+        self.policy_engine = tiers.policy_engine
+        self.infomgmt = tiers.infomgmt
+        self.safety = tiers.safety
+        self.conflict_matrix = tiers.conflict_matrix
+        self.pred_index = tiers.pred_index
+        self.version_index = tiers.version_index
+        # One lane: the synchronous cycle is single-threaded.
+        self.lane = Lane(tiers)
+        self.scheduler = self.lane.scheduler
+        self.polling = self.lane.polling
+        self.batch_poller = self.lane.batch_poller
+        self.grouped_checker = self.lane.grouped_checker
+        self.messages = InvalidationMessageGenerator(caches)
         self.cycles_run = 0
         self.last_report: Optional[InvalidationReport] = None
 
@@ -214,25 +169,6 @@ class Invalidator:
         """Online discovery: pull new QI/URL rows into the registry (§4.1.2)."""
         return self.registration.scan(self.qiurl_map.read_new())
 
-    def _table_columns(self, table: str) -> Optional[List[str]]:
-        """Schema accessor for the conflict matrix's whole-table proofs."""
-        from repro.errors import ReproError
-
-        try:
-            return self.database.table_columns(table)
-        except ReproError:
-            return None
-
-    def _deadline_for(self, instance: QueryInstance) -> float:
-        deadline = instance.query_type.deadline_ms
-        if self.servlet_deadline is not None:
-            for servlet in instance.servlets:
-                try:
-                    deadline = min(deadline, self.servlet_deadline(servlet))
-                except Exception:
-                    continue  # unknown servlet: keep the type default
-        return deadline
-
     def servlet_cacheable(self, servlet) -> bool:
         """Feedback hook for the sniffer's request logger."""
         return self.policy_engine.servlet_cacheable(servlet.name)
@@ -240,18 +176,15 @@ class Invalidator:
     # -- the invalidation cycle ---------------------------------------------------------
 
     def run_cycle(self) -> InvalidationReport:
-        """One full invalidation cycle (Figure 11, arrows (A)-(C))."""
-        import time as _time
+        """One full invalidation cycle (Figure 11, arrows (A)-(C)).
 
-        cycle_start = _time.perf_counter()
-
-        def elapsed_ms() -> float:
-            """Time from the synchronization point to this invalidation —
-            the per-type latency statistic of §4.1.1 (item 4)."""
-            return 1000.0 * (_time.perf_counter() - cycle_start)
-
+        Glue around :mod:`~repro.core.invalidator.decide`: every relation's
+        records go through the shared cascade with one ``doomed`` set for
+        the whole cycle, then one poll phase, then the ejects.
+        """
         self.cycles_run += 1
         report = InvalidationReport()
+        doomed = Doomed()
         self.ingest_qiurl_rows()
         # Fingerprint newly discovered POLL_ONLY instances before any
         # update is examined; the synchronous cycle always promotes the
@@ -259,387 +192,41 @@ class Invalidator:
         self.safety.prepare_cycle(promote=True)
         deltas, lost = self.updates.pull_or_lose()
         if lost:
-            # The bounded log wrapped past our cursor: the missed changes
-            # are unknowable, so every watched page must be ejected.
             report.updates_lost = True
+            self._eject(self.tiers.flush_all(self.updates.cursor), report)
+        elif not deltas.is_empty():
+            report.records_processed = len(deltas)
+            tables = deltas.tables()
+            self.infomgmt.on_cycle_deltas(set(tables))
             if self.version_index is not None:
-                # Bumps for the lost range never happened: older stamps
-                # must not be vouched for again.
-                self.version_index.note_truncation(self.updates.cursor)
-            all_urls = sorted(
-                {url for instance in self.registry.instances() for url in instance.urls}
-            )
-            outcomes = self.messages.invalidate(all_urls)
-            report.urls_ejected = len(outcomes)
-            report.pages_removed = sum(o.pages_removed for o in outcomes)
-            for url in all_urls:
-                self.qiurl_map.drop_url(url)
-                self.registry.drop_url(url)
-            self._finish_report(report)
-            return report
-        report.records_processed = len(deltas)
-        if deltas.is_empty():
-            self._finish_report(report)
-            return report
-        self.infomgmt.on_cycle_deltas(set(deltas.tables()))
-        if self.version_index is not None:
-            # Bump-before-check: every record of the batch moves its
-            # counters before any (instance, record) pair is examined.
-            for table in deltas.tables():
-                self.version_index.observe(deltas.changes_for(table))
-
-        urls_to_eject: Set[str] = set()
-        doomed_instances: Dict[int, QueryInstance] = {}
-        poll_tasks: List[_PollTask] = []
-
-        for table in deltas.tables():
-            # §4.2.1: related updates are processed as a group — identical
-            # change records (same kind, same tuple) yield identical
-            # verdicts for every instance, so only the first is checked.
-            records, duplicates = dedupe_records(deltas.changes_for(table))
-            report.duplicate_records_skipped += duplicates
-            if self.conflict_matrix is not None:
-                # Classify each deduped tuple into its update classes
-                # once; skip_level answers per instance from the cache.
-                record_classes = [
-                    self.conflict_matrix.classes_for_record(record)
-                    for record in records
-                ]
-                record_columns = [set(record.columns) for record in records]
-            else:
-                record_classes = record_columns = None
-            if self.pred_index is not None:
-                candidate_ids, instances = self._probe_candidates(
-                    table, records, report, doomed_instances
+                # Bump-before-check: every record of the batch moves its
+                # counters before any (instance, record) pair is examined.
+                for table in tables:
+                    self.version_index.observe(deltas.changes_for(table))
+            counts: Counter = Counter()
+            tasks = []
+            for table in tables:
+                tasks += self.lane.decide(
+                    table, deltas.changes_for(table), doomed, counts
                 )
-            else:
-                candidate_ids = None
-                instances = self.registry.instances_touching(table)
-            for instance in instances:
-                if instance.instance_id in doomed_instances:
-                    continue
-                stats = instance.query_type.stats
-                safety_verdict = self.safety.verdict_for(instance.query_type)
-                for position, record in enumerate(records):
-                    report.pairs_checked += 1
-                    stats.updates_seen += 1
-                    if safety_verdict >= SafetyVerdict.POLL_ONLY:
-                        # Enforcement replaces the precise check entirely:
-                        # findings of this severity mean the analyzer's
-                        # verdict cannot be trusted for this type.
-                        if self._enforce_safety(
-                            safety_verdict, instance, record, report, elapsed_ms
-                        ):
-                            urls_to_eject.update(instance.urls)
-                            doomed_instances[instance.instance_id] = instance
-                            break
-                        continue
-                    if record_classes is not None:
-                        # Static conflict matrix: a registration-time
-                        # DISJOINT proof answers the pair before any
-                        # runtime machinery — same UNAFFECTED verdict the
-                        # checker would reach, no probe, no counter.
-                        level = self.conflict_matrix.skip_level(
-                            instance,
-                            record_columns[position],
-                            record_classes[position],
-                        )
-                        if level is not None:
-                            report.static_disjoint_skips += 1
-                            if level == "template":
-                                report.template_pairs_pruned += 1
-                            report.unaffected += 1
-                            continue
-                    if (
-                        safety_verdict is SafetyVerdict.VERSION_KEY
-                        and self.version_index is not None
-                    ):
-                        # Version-key fast path: a quiet counter proves
-                        # the pair UNAFFECTED in O(1); anything
-                        # unprovable falls through to the index prune and
-                        # the precise check.  Consulted before the probe
-                        # result so the counter — not the per-record
-                        # probe — is the primary resolver for this tier.
-                        # The streaming workers run this same decision
-                        # table.
-                        report.version_key_checks += 1
-                        if self.version_index.fresh(instance, record):
-                            report.polls_avoided += 1
-                            report.unaffected += 1
-                            continue
-                    if (
-                        candidate_ids is not None
-                        and instance.instance_id not in candidate_ids[position]
-                    ):
-                        # Proven UNAFFECTED by the index probe: same
-                        # verdict the checker would reach, no invocation.
-                        report.pairs_pruned += 1
-                        report.unaffected += 1
-                        continue
-                    if self.grouped_analysis:
-                        verdict = self.grouped_checker.check_instance(
-                            instance, record
-                        )
-                    else:
-                        verdict = self.checker.check(instance.statement, record)
-                    if verdict.kind is VerdictKind.UNAFFECTED:
-                        report.unaffected += 1
-                        continue
-                    if verdict.kind is VerdictKind.AFFECTED:
-                        report.affected += 1
-                        stats.record_invalidation(elapsed=elapsed_ms())
-                        urls_to_eject.update(instance.urls)
-                        doomed_instances[instance.instance_id] = instance
-                        break
-                    report.polls_requested += 1
-                    poll_tasks.append(_PollTask(instance, verdict))
-
-        # Budgeted polling (§4.2.2): what we cannot afford to check, we
-        # over-invalidate.
-        candidates = [
-            PollCandidate(
-                key=index,
-                priority=task.instance.query_type.priority,
-                cost=task.instance.query_type.cost,
-                urls_at_stake=len(task.instance.urls),
-                deadline_ms=self._deadline_for(task.instance),
-                batch_key=(
-                    batch_key(task.verdict.polling_query)
-                    if self.batch_polling
-                    else None
-                ),
-            )
-            for index, task in enumerate(poll_tasks)
-        ]
-        schedule = self.scheduler.schedule(candidates)
-        self.polling.begin_cycle()
-        if self.batch_polling:
-            self._run_batched_polls(
-                schedule, poll_tasks, doomed_instances, urls_to_eject,
-                report, elapsed_ms,
-            )
-        else:
-            for candidate in schedule.to_poll:
-                task = poll_tasks[candidate.key]
-                if task.instance.instance_id in doomed_instances:
-                    continue
-                work_before = self.polling.stats.total_work_units
-                impacted = self.infomgmt.poll_with_caching(
-                    self.polling, task.verdict.polling_query
-                )
-                report.polls_executed += 1
-                query_type = task.instance.query_type
-                query_type.stats.polling_queries_issued += 1
-                # Self-tuning cost estimate (§4.1.1 item 4): an exponential
-                # moving average of measured polling work feeds the
-                # scheduler's cost-budget decisions in later cycles.
-                poll_work = self.polling.stats.total_work_units - work_before
-                if poll_work > 0:
-                    query_type.cost = 0.8 * query_type.cost + 0.2 * poll_work
-                if impacted:
-                    report.polls_impacted += 1
-                    task.instance.query_type.stats.record_invalidation(
-                        elapsed=elapsed_ms()
-                    )
-                    urls_to_eject.update(task.instance.urls)
-                    doomed_instances[task.instance.instance_id] = task.instance
-        for candidate in schedule.over_invalidate:
-            task = poll_tasks[candidate.key]
-            if task.instance.instance_id in doomed_instances:
-                continue
-            report.over_invalidated += 1
-            task.instance.query_type.stats.record_invalidation(
-                elapsed=elapsed_ms()
-            )
-            urls_to_eject.update(task.instance.urls)
-            doomed_instances[task.instance.instance_id] = task.instance
-
-        outcomes = self.messages.invalidate(sorted(urls_to_eject))
-        report.urls_ejected = len(outcomes)
-        report.pages_removed = sum(outcome.pages_removed for outcome in outcomes)
-        report.polling_work_units = self.polling.stats.total_work_units
-        for url in urls_to_eject:
-            self.qiurl_map.drop_url(url)
-            self.registry.drop_url(url)
-
-        # Policy discovery runs at the end of each cycle (§4.1.4).
-        self.policy_engine.discover(self.registry)
-        self._finish_report(report)
+            self.lane.poll(tasks, doomed, counts)
+            for name, amount in counts.items():
+                setattr(report, name, getattr(report, name) + amount)
+            urls = sorted(doomed.urls)
+            self._eject(urls, report)
+            self.tiers.drop_urls(urls)
+            report.polling_work_units = self.polling.stats.total_work_units
+            # Policy discovery runs at the end of each cycle (§4.1.4).
+            self.policy_engine.discover(self.registry)
+        for name, value in self.tiers.registry_counts().items():
+            setattr(report, name, value)
+        self.last_report = report
         return report
 
-    def _run_batched_polls(
-        self,
-        schedule,
-        poll_tasks: List["_PollTask"],
-        doomed_instances: Dict[int, QueryInstance],
-        urls_to_eject: Set[str],
-        report: InvalidationReport,
-        elapsed_ms: Callable[[], float],
-    ) -> None:
-        """Set-oriented arm of the poll phase: one delta-join per group.
-
-        The schedule is applied in the same order as the per-instance arm;
-        tasks whose instance a batch result already doomed are skipped at
-        apply time (uncounted, exactly as the sequential loop skips them),
-        so eject sets and report counters line up between arms.
-        """
-        stats = self.polling.stats
-        batched_before = (
-            stats.batched_queries, stats.batched_instances, stats.demux_misses
-        )
-        pending = [
-            (candidate.key, poll_tasks[candidate.key].verdict.polling_query)
-            for candidate in schedule.to_poll
-            if poll_tasks[candidate.key].instance.instance_id
-            not in doomed_instances
-        ]
-        outcomes = self.batch_poller.execute(pending)
-        for candidate in schedule.to_poll:
-            task = poll_tasks[candidate.key]
-            if task.instance.instance_id in doomed_instances:
-                continue
-            outcome = outcomes.get(candidate.key)
-            if outcome is None:  # pragma: no cover - defensive
-                continue
-            report.polls_executed += 1
-            query_type = task.instance.query_type
-            query_type.stats.polling_queries_issued += 1
-            # The same self-tuning EMA as the per-instance arm, fed the
-            # task's amortized share of the batch's measured work.
-            if outcome.work_units > 0:
-                query_type.cost = (
-                    0.8 * query_type.cost + 0.2 * outcome.work_units
-                )
-            if outcome.impacted:
-                report.polls_impacted += 1
-                query_type.stats.record_invalidation(elapsed=elapsed_ms())
-                urls_to_eject.update(task.instance.urls)
-                doomed_instances[task.instance.instance_id] = task.instance
-        report.batched_queries += stats.batched_queries - batched_before[0]
-        report.batched_instances += stats.batched_instances - batched_before[1]
-        report.demux_misses += stats.demux_misses - batched_before[2]
-
-    def _enforce_safety(
-        self,
-        verdict: SafetyVerdict,
-        instance: QueryInstance,
-        record: UpdateRecord,
-        report: InvalidationReport,
-        elapsed_ms: Callable[[], float],
-    ) -> bool:
-        """Apply a non-SAFE verdict to one (instance, record) pair.
-
-        Returns True when the instance's pages must be ejected.  The
-        streaming workers run the same decision table so both paths stay
-        counter-for-counter identical.
-        """
-        stats = instance.query_type.stats
-        if verdict is SafetyVerdict.ALWAYS_EJECT:
-            report.fallback_ejects += 1
-            report.affected += 1
-            stats.record_invalidation(elapsed=elapsed_ms())
-            return True
-        report.poll_only_checks += 1
-        if self.safety.check_poll_only(instance, record):
-            report.affected += 1
-            stats.record_invalidation(elapsed=elapsed_ms())
-            return True
-        report.unaffected += 1
-        return False
-
-    def _finish_report(self, report: InvalidationReport) -> None:
-        """Fill the cycle-end safety observability counters."""
-        for query_type in self.registry.types():
-            if query_type.safety is not None:
-                report.lint_findings += len(query_type.safety.findings)
-        for instance in self.registry.instances():
-            verdict = self.safety.verdict_for(instance.query_type)
-            if verdict is SafetyVerdict.SAFE:
-                report.safe_instances += 1
-            elif verdict is SafetyVerdict.VERSION_KEY:
-                report.version_key_instances += 1
-        self.last_report = report
-
-    def _probe_candidates(
-        self,
-        table: str,
-        records: Sequence[UpdateRecord],
-        report: InvalidationReport,
-        doomed_instances: Dict[int, QueryInstance],
-    ) -> Tuple[List[Set[int]], List[QueryInstance]]:
-        """Probe the predicate index once per deduped record.
-
-        Returns the per-record candidate-id sets plus the *relevant*
-        instances (candidate for at least one record), in registration
-        order — the same relative order the scan path iterates.  Every
-        instance registered for ``table`` that no probe returned is
-        proven UNAFFECTED for the whole record group; those pairs are
-        accounted in bulk per query type, so counters and per-type
-        ``updates_seen`` statistics match the scan exactly.
-        """
-        index = self.pred_index
-        started = time.perf_counter()
-        candidate_ids: List[Set[int]] = []
-        relevant: Dict[int, QueryInstance] = {}
-        for record in records:
-            result = index.probe(table, record)
-            candidate_ids.append(result.candidate_ids)
-            for candidate in result.candidates:
-                relevant.setdefault(candidate.instance_id, candidate)
-        report.index_probes += len(records)
-        report.probe_time_ms += 1000.0 * (time.perf_counter() - started)
-        if self.version_index is not None:
-            # Version-keyed instances bypass the bulk probe skip: their
-            # counter check — not the per-record probe — is this tier's
-            # primary resolver, so every pair must materialize and reach
-            # the decision table.
-            for instance in self.registry.instances_touching(table):
-                if (
-                    self.safety.verdict_for(instance.query_type)
-                    is SafetyVerdict.VERSION_KEY
-                ):
-                    relevant.setdefault(instance.instance_id, instance)
-
-        relevant_by_type: Dict[int, int] = {}
-        for instance in relevant.values():
-            type_id = instance.query_type.type_id
-            relevant_by_type[type_id] = relevant_by_type.get(type_id, 0) + 1
-        # Instances doomed earlier in this cycle are skipped uncounted by
-        # the scan path; subtract the non-relevant ones from the bulk.
-        doomed_by_type: Dict[int, int] = {}
-        for instance_id, instance in doomed_instances.items():
-            if instance_id in relevant:
-                continue
-            if table in instance.query_type.tables:
-                type_id = instance.query_type.type_id
-                doomed_by_type[type_id] = doomed_by_type.get(type_id, 0) + 1
-        for type_id, (query_type, live) in index.table_type_counts(table).items():
-            skipped = (
-                live
-                - relevant_by_type.get(type_id, 0)
-                - doomed_by_type.get(type_id, 0)
-            )
-            if skipped <= 0:
-                continue
-            pairs = skipped * len(records)
-            query_type.stats.updates_seen += pairs
-            report.pairs_checked += pairs
-            report.pairs_pruned += pairs
-            report.unaffected += pairs
-        # Instances the conflict matrix parked in never-matching entries
-        # are part of the bulk above; surface them in the static counter
-        # too, so the matrix's contribution stays visible.
-        static_ids = index.statically_dropped_ids(table)
-        if static_ids:
-            skipped_static = sum(
-                1
-                for instance_id in static_ids
-                if instance_id not in relevant
-                and instance_id not in doomed_instances
-            )
-            report.static_disjoint_skips += skipped_static * len(records)
-        ordered = sorted(relevant.values(), key=lambda inst: inst.instance_id)
-        return candidate_ids, ordered
+    def _eject(self, urls: List[str], report: InvalidationReport) -> None:
+        outcomes = self.messages.invalidate(urls)
+        report.urls_ejected = len(outcomes)
+        report.pages_removed = sum(outcome.pages_removed for outcome in outcomes)
 
 
 class TriggerInvalidator:

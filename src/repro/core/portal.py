@@ -211,7 +211,7 @@ class CachePortal:
                 "polls_issued": invalidator.polling.stats.issued,
                 "polls_coalesced": invalidator.polling.stats.coalesced,
                 "poll_cache_hits": invalidator.polling.stats.cache_hits,
-                "batch_polling": invalidator.batch_polling,
+                "batch_polling": invalidator.tiers.batch_polling,
                 "batched_queries": invalidator.polling.stats.batched_queries,
                 "batched_instances": invalidator.polling.stats.batched_instances,
                 "demux_misses": invalidator.polling.stats.demux_misses,

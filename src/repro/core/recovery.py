@@ -43,9 +43,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import CachePortalError
 
@@ -246,9 +246,9 @@ def restore_portal(
         report.log_truncated = True
         report.lost_range = (cursor + 1, max(log.last_lsn, log.oldest_lsn - 1))
         invalidator.updates.skip_to_head()
-        if invalidator.version_index is not None:
-            invalidator.version_index.note_truncation(invalidator.updates.cursor)
-        report.flushed_urls = _flush_all_portal(invalidator)
+        flushed = invalidator.tiers.flush_all(invalidator.updates.cursor)
+        invalidator.messages.invalidate(flushed)
+        report.flushed_urls = len(flushed)
     else:
         invalidator.updates.seek(cursor)
     if invalidator.version_index is not None:
@@ -300,16 +300,7 @@ def restore_pipeline(
         report.lost_range = (cursor + 1, max(log.last_lsn, log.oldest_lsn - 1))
         pipeline.tailer.seek(max(log.last_lsn, log.oldest_lsn - 1))
         pipeline.tailer.last_lost_range = report.lost_range
-        with pipeline.registry_lock:
-            watched = sorted(
-                {
-                    url
-                    for instance in pipeline.registry.instances()
-                    for url in instance.urls
-                }
-            )
-        report.flushed_urls = len(watched)
-        pipeline._flush_everything()
+        report.flushed_urls = len(pipeline._flush_everything())
     else:
         pipeline.tailer.seek(cursor)
     if pipeline.version_index is not None:
@@ -377,18 +368,6 @@ def _count_fingerprints(registry) -> int:
         for instance in registry.instances()
         if instance.result_fingerprint is not None
     )
-
-
-def _flush_all_portal(invalidator) -> int:
-    """The synchronous flush-all valve, applied eagerly at restore time."""
-    all_urls = sorted(
-        {url for instance in invalidator.registry.instances() for url in instance.urls}
-    )
-    invalidator.messages.invalidate(all_urls)
-    for url in all_urls:
-        invalidator.qiurl_map.drop_url(url)
-        invalidator.registry.drop_url(url)
-    return len(all_urls)
 
 
 def _eject_orphans(caches, qiurl_map) -> int:

@@ -42,13 +42,16 @@ class Index:
         raise NotImplementedError
 
     def lookup(self, key: Key) -> Set[int]:
+        """Row ids whose indexed columns equal ``key``.  A key with a NULL
+        component matches nothing: ``col = NULL`` is never true."""
         raise NotImplementedError
 
     def lookup_many(self, values: Sequence[Value]) -> Set[int]:
         """Union of single-column equality lookups, one per value.
 
         Batch entry point for ``IndexInLookup``: callers pass bare values
-        (not key tuples) for a single-column index.
+        (not key tuples) for a single-column index.  NULL values match
+        nothing.
         """
         rowids: Set[int] = set()
         for value in values:
@@ -88,7 +91,8 @@ class HashIndex(Index):
                 del self._buckets[key]
 
     def lookup(self, key: Key) -> Set[int]:
-        """Row ids whose indexed columns equal ``key`` exactly."""
+        if None in key:
+            return set()  # NULL-keyed rows sit in a bucket; = never finds them
         return set(self._buckets.get(key, ()))
 
     def lookup_many(self, values: Sequence[Value]) -> Set[int]:
@@ -96,6 +100,8 @@ class HashIndex(Index):
         rowids: Set[int] = set()
         buckets = self._buckets
         for value in values:
+            if value is None:
+                continue
             bucket = buckets.get((value,))
             if bucket:
                 rowids |= bucket
@@ -142,6 +148,8 @@ class SortedIndex(Index):
 
     def lookup(self, key: Key) -> Set[int]:
         value = key[0]
+        if value is None:
+            return set()  # a None bound would mean "unbounded" below
         return self.range_lookup(low=value, high=value, low_open=False, high_open=False)
 
     def range_lookup(

@@ -36,12 +36,11 @@ class PipelineMetrics:
         # predicate-index probes (pairs_pruned ⊆ unaffected ⊆ pairs_checked)
         self.pairs_pruned = 0
         self.index_probes = 0
-        self.probe_seconds = 0.0
+        self.probe_time_ms = 0.0
         self.polls_requested = 0
         self.polls_executed = 0
         self.polls_impacted = 0
         self.over_invalidated = 0
-        self.scheduler_cycles = 0
         self.poll_slots_offered = 0  # budget * cycles (None budget: offered = requested)
         # set-oriented (batched) polling
         self.batched_queries = 0
@@ -159,7 +158,7 @@ class PipelineMetrics:
                     "affected": self.affected,
                     "pairs_pruned": self.pairs_pruned,
                     "index_probes": self.index_probes,
-                    "probe_time_ms": round(1000.0 * self.probe_seconds, 3),
+                    "probe_time_ms": round(self.probe_time_ms, 3),
                     "polls_requested": self.polls_requested,
                     "polls_executed": self.polls_executed,
                     "polls_impacted": self.polls_impacted,

@@ -2,7 +2,8 @@
 
 The synchronous :class:`~repro.core.invalidator.invalidator.Invalidator`
 processes each synchronization point as one blocking pass.  The pipeline
-turns the same algorithm into a continuously-running system:
+runs the same decision — the tiers, cascade and poll phase of
+:mod:`repro.core.invalidator.decide` — as a continuously-running system:
 
 * a :class:`~repro.stream.tailer.LogTailer` consumes the update log in
   bounded batches with a resumable offset;
@@ -10,13 +11,13 @@ turns the same algorithm into a continuously-running system:
   to its shard worker (per-relation ordering preserved), and applies the
   result-cache daemon hook of §4.3;
 * :class:`~repro.stream.workers.InvalidationWorker` threads run the
-  grouped independence analysis and budgeted polling per shard;
+  shared cascade and budgeted polling per shard, one lane each;
 * an :class:`~repro.stream.bus.EjectBus` coalesces and delivers the
   ``Cache-Control: eject`` messages, absorbing cache faults.
 
-The update-loss safety valve of the synchronous path is kept: when the
-bounded log truncates past the tailer's offset, every watched page is
-flushed.
+The update-loss safety valve is shared with the synchronous path: when
+the bounded log truncates past the tailer's offset, every watched page
+is flushed.
 
 Typical use::
 
@@ -34,25 +35,17 @@ cursor and update log.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence
-
 from pathlib import Path
-from typing import Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.db.engine import Database
 from repro.core import recovery
 from repro.core.qiurl import QIURLMap
-from repro.core.invalidator.infomgmt import InformationManager
-from repro.core.invalidator.policies import InvalidationPolicy, PolicyEngine
-from repro.core.invalidator.predindex import PredicateIndex
-from repro.core.invalidator.registration import (
-    QueryTypeRegistry,
-    RegistrationModule,
-)
-from repro.core.invalidator.safety import SafetyEnforcer, SafetyVerdict
-from repro.core.invalidator.versionkey import VersionKeyIndex
+from repro.core.invalidator.decide import build_tiers
+from repro.core.invalidator.policies import InvalidationPolicy
 from repro.stream.bus import EjectBus
 from repro.stream.metrics import PipelineMetrics
 from repro.stream.tailer import LogTailer
@@ -105,72 +98,48 @@ class StreamingInvalidationPipeline:
         self.database = database
         self.qiurl_map = qiurl_map if qiurl_map is not None else QIURLMap()
         self.metrics = metrics or PipelineMetrics()
-        self.registry = QueryTypeRegistry()
-        self.registration = RegistrationModule(self.registry)
-        self.policy_engine = PolicyEngine(policy)
-        self.infomgmt = InformationManager(
-            database, self.policy_engine, use_data_cache=use_data_cache
-        )
-        self.registry_lock = threading.RLock()
-        self.db_lock = threading.Lock()
-        # Safety enforcement: verdicts computed at registration, POLL_ONLY
-        # fingerprints established at pump time before batches dispatch.
-        self.safety = SafetyEnforcer(database, enabled=safety_enforcement)
-        self.registry.add_listener(self.safety)
-        # Static conflict matrix (shared across shards, internally
-        # locked).  Attached *before* the predicate index so its
-        # constant-false precompute is ready when the index's classifier
-        # consults ``index_drop`` for the same registration event.
-        self.conflict_matrix = None
-        if conflict_matrix:
-            from repro.core.invalidator.conflict import ConflictMatrix
-
-            self.conflict_matrix = ConflictMatrix(
-                columns_of=self._table_columns
-            ).attach_to(self.registry)
-        # Predicate index (shared across shards): registrations happen
-        # under the registry lock, so listener inserts are serialized.
-        self.pred_index: Optional[PredicateIndex] = None
-        if predicate_index:
-            self.pred_index = PredicateIndex(
-                conflict=self.conflict_matrix
-            ).attach_to(self.registry)
         self.tailer = LogTailer(
             database.update_log, batch_size=batch_size, start_lsn=start_lsn
         )
-        # Version-key fast path: counters are bumped by the pump before
-        # batches dispatch, consulted by every worker.  Created after the
-        # tailer — new fast-path instances are stamped with its cursor.
-        self.version_index: Optional[VersionKeyIndex] = None
-        if version_keys:
-            self.version_index = VersionKeyIndex(
-                stamp_source=lambda: self.tailer.cursor
-            ).attach_to(self.registry)
+        # Version-key counters are bumped by the pump before batches
+        # dispatch; new fast-path instances are stamped with its cursor.
+        self.tiers = build_tiers(
+            database,
+            self.qiurl_map,
+            stamp_source=lambda: self.tailer.cursor,
+            policy=policy,
+            polling_budget=polling_budget,
+            use_data_cache=use_data_cache,
+            grouped_analysis=grouped_analysis,
+            predicate_index=predicate_index,
+            batch_polling=batch_polling,
+            safety_enforcement=safety_enforcement,
+            version_keys=version_keys,
+            conflict_matrix=conflict_matrix,
+            servlet_deadline=servlet_deadline,
+        )
+        tiers = self.tiers
+        self.registry = tiers.registry
+        self.registration = tiers.registration
+        self.policy_engine = tiers.policy_engine
+        self.infomgmt = tiers.infomgmt
+        self.safety = tiers.safety
+        self.conflict_matrix = tiers.conflict_matrix
+        self.pred_index = tiers.pred_index
+        self.version_index = tiers.version_index
+        self.registry_lock = threading.RLock()
+        self.db_lock = threading.Lock()
         self.bus = bus or EjectBus(metrics=self.metrics)
         if bus is not None:
             self.bus.metrics = self.metrics
         for index, cache in enumerate(caches):
             self.bus.register(f"cache{index}", cache)
         self.context = WorkerContext(
-            database=database,
-            registry=self.registry,
-            qiurl_map=self.qiurl_map,
-            infomgmt=self.infomgmt,
-            registry_lock=self.registry_lock,
-            db_lock=self.db_lock,
-            polling_budget=polling_budget,
-            grouped_analysis=grouped_analysis,
-            pred_index=self.pred_index,
-            batch_polling=batch_polling,
-            servlet_deadline=servlet_deadline,
-            safety=self.safety,
-            version_index=self.version_index,
-            conflict_matrix=self.conflict_matrix,
+            tiers, self.registry_lock, self.db_lock, self.bus
         )
         self.pool = WorkerPool(
             num_shards,
             self.context,
-            self.bus,
             self.metrics,
             queue_capacity=queue_capacity,
         )
@@ -181,16 +150,6 @@ class StreamingInvalidationPipeline:
         self._running = False
 
     # -- construction helpers --------------------------------------------------
-
-    def _table_columns(self, table: str) -> Optional[List[str]]:
-        """Schema accessor for the conflict matrix's index-drop proofs;
-        None for unknown tables (the matrix then refuses the drop)."""
-        from repro.errors import ReproError
-
-        try:
-            return list(self.database.table_columns(table))
-        except ReproError:
-            return None
 
     @classmethod
     def for_portal(cls, portal, **kwargs) -> "StreamingInvalidationPipeline":
@@ -367,25 +326,13 @@ class StreamingInvalidationPipeline:
             self.policy_engine.discover(self.registry)
         return True
 
-    def _flush_everything(self) -> None:
+    def _flush_everything(self) -> List[str]:
         """Update-loss safety valve: eject every watched page."""
-        if self.version_index is not None:
-            # Bumps for the lost range never happened: stamps predating
-            # the resynced cursor must never be vouched for again.
-            self.version_index.note_truncation(self.tailer.cursor)
         with self.registry_lock:
-            all_urls = sorted(
-                {
-                    url
-                    for instance in self.registry.instances()
-                    for url in instance.urls
-                }
-            )
-            for url in all_urls:
-                self.qiurl_map.drop_url(url)
-                self.registry.drop_url(url)
-        if all_urls:
-            self.bus.publish(all_urls, origin_ts=self._clock())
+            urls = self.tiers.flush_all(self.tailer.cursor)
+        if urls:
+            self.bus.publish(urls, origin_ts=self._clock())
+        return urls
 
     # -- synchronous mode -------------------------------------------------------
 
@@ -404,7 +351,7 @@ class StreamingInvalidationPipeline:
                 while True:
                     try:
                         item = worker.queue.get_nowait()
-                    except Exception:
+                    except queue.Empty:
                         break
                     if item is worker._SENTINEL:  # pragma: no cover - defensive
                         continue
@@ -442,20 +389,7 @@ class StreamingInvalidationPipeline:
                 snapshot["predicate_index"] = self.pred_index.stats()
             # Safety observability: derived from the live registry, so it
             # is computed here rather than accumulated in the metrics.
-            safe_instances = version_key_instances = 0
-            for instance in self.registry.instances():
-                verdict = self.safety.verdict_for(instance.query_type)
-                if verdict is SafetyVerdict.SAFE:
-                    safe_instances += 1
-                elif verdict is SafetyVerdict.VERSION_KEY:
-                    version_key_instances += 1
-            snapshot["workers"]["safe_instances"] = safe_instances
-            snapshot["workers"]["version_key_instances"] = version_key_instances
-            snapshot["workers"]["lint_findings"] = sum(
-                len(query_type.safety.findings)
-                for query_type in self.registry.types()
-                if query_type.safety is not None
-            )
+            snapshot["workers"].update(self.tiers.registry_counts())
             snapshot["safety"] = self.safety.stats()
             if self.version_index is not None:
                 snapshot["version_keys"] = self.version_index.stats()
@@ -472,10 +406,10 @@ class StreamingInvalidationPipeline:
                 "shard": worker.shard_id,
                 "batches": worker.batches_processed,
                 "records": worker.records_processed,
-                "scheduler_cycles": worker.scheduler.cycles,
-                "over_invalidated": worker.scheduler.total_over_invalidated,
+                "scheduler_cycles": worker.lane.scheduler.cycles,
+                "over_invalidated": worker.lane.scheduler.total_over_invalidated,
                 "budget_utilization": round(
-                    worker.scheduler.budget_utilization, 4
+                    worker.lane.scheduler.budget_utilization, 4
                 ),
             }
             for worker in self.pool.workers

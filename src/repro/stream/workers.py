@@ -5,12 +5,12 @@ num_shards``) and a FIFO queue of :class:`ShardBatch` items, so all
 changes to one relation are analyzed — and their ejects published — in
 log order, while different relations proceed concurrently.
 
-A worker runs the *existing* invalidation machinery per batch: the
-grouped independence check from :mod:`repro.core.invalidator.grouping`,
-budgeted polling through its own :class:`InvalidationScheduler` (one
-scheduler cycle per batch, so the polling budget is enforced per shard
-per cycle exactly as §4.2.2 prescribes), and result-cached poll execution
-via the shared :class:`InformationManager`.
+A worker decides each batch with the same code as the synchronous
+invalidator: the cascade and poll phase of
+:mod:`repro.core.invalidator.decide`, run on the worker's own
+:class:`~repro.core.invalidator.decide.Lane` (scheduler, polling
+generator, batch poller, checkers).  One scheduler cycle per batch
+enforces the polling budget per shard per cycle, as §4.2.2 prescribes.
 
 Shared mutable state (the query registry, the QI/URL map, per-type
 statistics) is guarded by one registry lock; the in-process database is
@@ -21,18 +21,13 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.db.log import UpdateRecord
-from repro.core.invalidator.analysis import IndependenceChecker, VerdictKind
-from repro.core.invalidator.batchpoll import BatchPollExecutor, batch_key
-from repro.core.invalidator.grouping import GroupedChecker
-from repro.core.invalidator.safety import SafetyVerdict
-from repro.core.invalidator.scheduler import InvalidationScheduler, PollCandidate
-from repro.core.invalidator.updates import dedupe_records
+from repro.core.invalidator.decide import Doomed, Lane, Tiers
 from repro.stream.bus import EjectBus
 from repro.stream.metrics import PipelineMetrics
 
@@ -48,40 +43,13 @@ class ShardBatch:
 
 @dataclass
 class WorkerContext:
-    """Everything the shard workers share (with its locks)."""
+    """Everything the shard workers share: the tiers, their locks, and
+    the eject bus."""
 
-    database: object
-    registry: object
-    qiurl_map: object
-    infomgmt: object
+    tiers: Tiers
     registry_lock: threading.RLock
     db_lock: threading.Lock
-    polling_budget: Optional[int] = None
-    grouped_analysis: bool = True
-    #: Shared :class:`~repro.core.invalidator.predindex.PredicateIndex`;
-    #: None runs the full per-instance scan.  Probes happen under the
-    #: registry lock, like every other registry read.
-    pred_index: Optional[object] = None
-    #: Set-oriented polling: fold a batch-cycle's may-affect checks into
-    #: one delta-join query per polling-query type (False = per-instance
-    #: A/B control arm).
-    batch_polling: bool = True
-    servlet_deadline: Optional[Callable[[str], float]] = None
-    #: Shared :class:`~repro.core.invalidator.safety.SafetyEnforcer`;
-    #: None (or a disabled enforcer) leaves every type on the precise
-    #: independence-check path.  Fingerprint polls re-execute SQL, so
-    #: workers take ``db_lock`` around them.
-    safety: Optional[object] = None
-    #: Shared :class:`~repro.core.invalidator.versionkey.VersionKeyIndex`;
-    #: None sends VERSION_KEY pairs down the precise checker path (the
-    #: A/B control arm).  The index is internally locked — the pump bumps
-    #: it while workers consult it.
-    version_index: Optional[object] = None
-    #: Shared :class:`~repro.core.invalidator.conflict.ConflictMatrix`;
-    #: None disables static (template × update-class) pruning.  The
-    #: matrix is internally locked — registration threads extend it
-    #: while workers consult it.
-    conflict_matrix: Optional[object] = None
+    bus: EjectBus
 
 
 def shard_for(table: str, num_shards: int) -> int:
@@ -99,22 +67,14 @@ class InvalidationWorker:
         self,
         shard_id: int,
         context: WorkerContext,
-        bus: EjectBus,
         metrics: PipelineMetrics,
         queue_capacity: int = 64,
     ) -> None:
         self.shard_id = shard_id
         self.context = context
-        self.bus = bus
         self.metrics = metrics
         self.queue: "queue.Queue" = queue.Queue(maxsize=queue_capacity)
-        self.scheduler = InvalidationScheduler(
-            polling_budget=context.polling_budget
-        )
-        self.checker = IndependenceChecker()
-        self.grouped_checker = GroupedChecker()
-        self.polling = context.infomgmt.polling_generator()
-        self.batch_poller = BatchPollExecutor(context.infomgmt, self.polling)
+        self.lane = Lane(context.tiers, context.registry_lock, context.db_lock)
         self.batches_processed = 0
         self.records_processed = 0
         self._inflight = 0
@@ -172,394 +132,28 @@ class InvalidationWorker:
     # -- the per-batch invalidation cycle ------------------------------------------
 
     def process_batch(self, batch: ShardBatch) -> None:
-        """Analyze one relation's changes and publish the resulting ejects.
-
-        This is the streaming equivalent of one relation's slice of
-        ``Invalidator.run_cycle``: dedupe → independence check →
-        budgeted polling → eject.
-        """
+        """Decide one relation's changes and publish the resulting ejects:
+        the shared cascade, one poll phase, one bus publish."""
         ctx = self.context
-        records, duplicates = dedupe_records(batch.records)
+        doomed = Doomed()
+        counts: Counter = Counter(
+            batches_processed=1, records_processed=len(batch.records)
+        )
+        tasks = self.lane.decide(batch.table, batch.records, doomed, counts)
+        self.lane.poll(tasks, doomed, counts)
+        if counts["polls_requested"]:
+            budget = ctx.tiers.polling_budget
+            counts["poll_slots_offered"] = (
+                budget if budget is not None else counts["polls_requested"]
+            )
         self.batches_processed += 1
         self.records_processed += len(batch.records)
-        self.metrics.add(
-            batches_processed=1,
-            records_processed=len(batch.records),
-            duplicate_records_skipped=duplicates,
-        )
-
-        index = ctx.pred_index
-        # Hoist the enabled check; the per-pair consultation below is a
-        # bare attribute read so enforcement stays off the hot path's
-        # profile (bench_lint.py budgets it at < 3%).
-        enforcer = (
-            ctx.safety
-            if ctx.safety is not None and getattr(ctx.safety, "enabled", True)
-            else None
-        )
-        matrix = ctx.conflict_matrix
-        if matrix is not None:
-            # Precompute once per record: which update classes each record
-            # belongs to, and the columns its row image carries (the
-            # matrix refuses a static skip whose proof cites a column the
-            # record does not carry — checker parity).
-            record_classes: Optional[list] = [
-                matrix.classes_for_record(record) for record in records
-            ]
-            record_columns = [set(record.columns) for record in records]
-        else:
-            record_classes = None
-            record_columns = []
-        static_ids: "set[int]" = set()
-        with ctx.registry_lock:
-            if index is not None:
-                if matrix is not None:
-                    static_ids = set(index.statically_dropped_ids(batch.table))
-                probe_start = time.perf_counter()
-                probes = [index.probe(batch.table, record) for record in records]
-                probe_seconds = time.perf_counter() - probe_start
-                # Snapshot the per-type live counts: other shards may drop
-                # instances while this batch is in flight, just as the
-                # scan path snapshots its instance list.
-                type_totals = {
-                    type_id: (query_type, count)
-                    for type_id, (query_type, count) in index.table_type_counts(
-                        batch.table
-                    ).items()
-                }
-                instances = []
-                # Version-keyed instances bypass the bulk probe skip:
-                # their counter check — not the per-record probe — is
-                # this tier's primary resolver, so every pair must
-                # materialize and reach the decision table below.
-                version_keyed = []
-                if ctx.version_index is not None and enforcer is not None:
-                    version_keyed = [
-                        instance
-                        for instance in ctx.registry.instances_touching(
-                            batch.table
-                        )
-                        if instance.query_type.safety is not None
-                        and instance.query_type.safety.verdict
-                        is SafetyVerdict.VERSION_KEY
-                    ]
-            else:
-                probes = None
-                version_keyed = []
-                instances = list(ctx.registry.instances_touching(batch.table))
-
-        urls_to_eject: "dict[str, None]" = {}  # insertion-ordered set
-        doomed: "dict[int, object]" = {}  # instance_id → instance
-        poll_tasks = []  # (instance, verdict)
-        pairs = unaffected = affected = pruned = 0
-        fallback_ejects = poll_only_checks = 0
-        version_key_checks = polls_avoided = 0
-        static_skips = template_pruned = 0
-        version_keyed_ids = {
-            instance.instance_id for instance in version_keyed
-        }
-        # keyed by type_id: QueryType is a plain dataclass, not hashable
-        updates_seen_by_type: "dict[int, list]" = {}
-
-        # Record-major iteration (unlike the synchronous invalidator's
-        # instance-major pass): ejects caused by AFFECTED verdicts are
-        # published in log order, which is what makes the bus's FIFO
-        # delivery a *per-relation ordering* guarantee end to end.
-        for position, record in enumerate(records):
-            if probes is None:
-                row_instances = instances
-            else:
-                probe = probes[position]
-                row_instances = list(probe.candidates)
-                # Version-keyed instances the probe excluded still
-                # materialize (their counter decides); doomed ones stay
-                # with the bulk accounting below, like the scan path.
-                row_instances.extend(
-                    instance
-                    for instance in version_keyed
-                    if instance.instance_id not in probe.candidate_ids
-                    and instance.instance_id not in doomed
-                )
-                # Everything the probe left out is provably UNAFFECTED for
-                # this record: account those pairs in bulk per query type
-                # (minus instances already doomed, which the scan path
-                # skips uncounted).
-                candidates_by_type: "dict[int, int]" = {}
-                for instance in row_instances:
-                    type_id = instance.query_type.type_id
-                    candidates_by_type[type_id] = (
-                        candidates_by_type.get(type_id, 0) + 1
-                    )
-                doomed_by_type: "dict[int, int]" = {}
-                for instance_id, instance in doomed.items():
-                    if instance_id not in probe.candidate_ids:
-                        type_id = instance.query_type.type_id
-                        doomed_by_type[type_id] = (
-                            doomed_by_type.get(type_id, 0) + 1
-                        )
-                for type_id, (query_type, live) in type_totals.items():
-                    skipped = (
-                        live
-                        - candidates_by_type.get(type_id, 0)
-                        - doomed_by_type.get(type_id, 0)
-                    )
-                    if skipped <= 0:
-                        continue
-                    pairs += skipped
-                    unaffected += skipped
-                    pruned += skipped
-                    tally = updates_seen_by_type.setdefault(
-                        type_id, [query_type, 0]
-                    )
-                    tally[1] += skipped
-                # Statically dropped instances live only in the index's
-                # per-type totals, so the bulk loop above already counted
-                # them as pruned+unaffected; attribute them to the static
-                # matrix too (version-keyed ones materialize instead and
-                # hit the cascade's static branch below).
-                if static_ids:
-                    static_skips += sum(
-                        1
-                        for instance_id in static_ids
-                        if instance_id not in version_keyed_ids
-                        and instance_id not in doomed
-                    )
-            for instance in row_instances:
-                if instance.instance_id in doomed:
-                    continue
-                pairs += 1
-                tally = updates_seen_by_type.setdefault(
-                    instance.query_type.type_id, [instance.query_type, 0]
-                )
-                tally[1] += 1
-                classification = (
-                    instance.query_type.safety if enforcer is not None else None
-                )
-                if (
-                    classification is not None
-                    and classification.verdict >= SafetyVerdict.POLL_ONLY
-                ):
-                    # Same decision table as Invalidator._enforce_safety:
-                    # enforcement replaces the precise check entirely.
-                    if classification.verdict is SafetyVerdict.ALWAYS_EJECT:
-                        fallback_ejects += 1
-                        affected += 1
-                        self._doom(instance, urls_to_eject, doomed)
-                        continue
-                    poll_only_checks += 1
-                    with ctx.db_lock:
-                        eject = enforcer.check_poll_only(instance, record)
-                    if eject:
-                        affected += 1
-                        self._doom(instance, urls_to_eject, doomed)
-                    else:
-                        unaffected += 1
-                    continue
-                if record_classes is not None and matrix is not None:
-                    # Static conflict matrix: the (template × update-class)
-                    # pair is provably disjoint, so the checker would
-                    # return UNAFFECTED — skip it without invocation.
-                    level = matrix.skip_level(
-                        instance,
-                        record_columns[position],
-                        record_classes[position],
-                    )
-                    if level is not None:
-                        static_skips += 1
-                        if level == "template":
-                            template_pruned += 1
-                        unaffected += 1
-                        continue
-                if (
-                    classification is not None
-                    and classification.verdict is SafetyVerdict.VERSION_KEY
-                    and ctx.version_index is not None
-                ):
-                    # Version-key fast path — same decision table as the
-                    # synchronous invalidator: a quiet counter proves the
-                    # pair UNAFFECTED in O(1); anything unprovable falls
-                    # through to the precise check below.
-                    version_key_checks += 1
-                    if ctx.version_index.fresh(instance, record):
-                        polls_avoided += 1
-                        unaffected += 1
-                        continue
-                if (
-                    probes is not None
-                    and instance.instance_id not in probe.candidate_ids
-                ):
-                    # A version-keyed pair the counter could not vouch
-                    # for, but the probe proved UNAFFECTED — same verdict
-                    # the checker would reach, no invocation.  (Only
-                    # version-keyed extras can land here; every other
-                    # materialized pair is a probe candidate.)
-                    pruned += 1
-                    unaffected += 1
-                    continue
-                if ctx.grouped_analysis:
-                    verdict = self.grouped_checker.check_instance(
-                        instance, record
-                    )
-                else:
-                    verdict = self.checker.check(instance.statement, record)
-                if verdict.kind is VerdictKind.UNAFFECTED:
-                    unaffected += 1
-                    continue
-                if verdict.kind is VerdictKind.AFFECTED:
-                    affected += 1
-                    self._doom(instance, urls_to_eject, doomed)
-                    continue
-                poll_tasks.append((instance, verdict))
-
-        self.metrics.add(
-            pairs_checked=pairs,
-            unaffected=unaffected,
-            affected=affected,
-            fallback_ejects=fallback_ejects,
-            poll_only_checks=poll_only_checks,
-            version_key_checks=version_key_checks,
-            polls_avoided=polls_avoided,
-            static_disjoint_skips=static_skips,
-            template_pairs_pruned=template_pruned,
-        )
-        if probes is not None:
-            self.metrics.add(
-                pairs_pruned=pruned,
-                index_probes=len(records),
-                probe_seconds=probe_seconds,
-            )
-        if updates_seen_by_type:
+        self.metrics.add(**counts)
+        if doomed.urls:
+            urls = list(doomed.urls)
+            ctx.bus.publish(urls, origin_ts=batch.origin_ts)
             with ctx.registry_lock:
-                for query_type, count in updates_seen_by_type.values():
-                    query_type.stats.updates_seen += count
-
-        # Budgeted polling, one scheduler cycle per batch (§4.2.2).
-        live_tasks = [
-            (instance, verdict)
-            for instance, verdict in poll_tasks
-            if instance.instance_id not in doomed
-        ]
-        if live_tasks:
-            candidates = [
-                PollCandidate(
-                    key=index,
-                    priority=instance.query_type.priority,
-                    cost=instance.query_type.cost,
-                    urls_at_stake=len(instance.urls),
-                    deadline_ms=self._deadline_for(instance),
-                    batch_key=(
-                        batch_key(verdict.polling_query)
-                        if ctx.batch_polling
-                        else None
-                    ),
-                )
-                for index, (instance, verdict) in enumerate(live_tasks)
-            ]
-            schedule = self.scheduler.schedule(candidates)
-            budget = ctx.polling_budget
-            self.metrics.add(
-                polls_requested=len(live_tasks),
-                scheduler_cycles=1,
-                poll_slots_offered=(
-                    budget if budget is not None else len(live_tasks)
-                ),
-            )
-            self.polling.begin_cycle()
-            if ctx.batch_polling:
-                self._run_batched_polls(schedule, live_tasks, doomed, urls_to_eject)
-            else:
-                for candidate in schedule.to_poll:
-                    instance, verdict = live_tasks[candidate.key]
-                    if instance.instance_id in doomed:
-                        continue
-                    with ctx.db_lock:
-                        work_before = self.polling.stats.total_work_units
-                        impacted = ctx.infomgmt.poll_with_caching(
-                            self.polling, verdict.polling_query
-                        )
-                        poll_work = self.polling.stats.total_work_units - work_before
-                    self.metrics.add(polls_executed=1)
-                    with ctx.registry_lock:
-                        query_type = instance.query_type
-                        query_type.stats.polling_queries_issued += 1
-                        if poll_work > 0:
-                            query_type.cost = 0.8 * query_type.cost + 0.2 * poll_work
-                    if impacted:
-                        self.metrics.add(polls_impacted=1)
-                        self._doom(instance, urls_to_eject, doomed)
-            for candidate in schedule.over_invalidate:
-                instance, _verdict = live_tasks[candidate.key]
-                if instance.instance_id in doomed:
-                    continue
-                self.metrics.add(over_invalidated=1)
-                self._doom(instance, urls_to_eject, doomed)
-
-        if urls_to_eject:
-            urls = list(urls_to_eject)
-            self.bus.publish(urls, origin_ts=batch.origin_ts)
-            with self.context.registry_lock:
-                for url in urls:
-                    self.context.qiurl_map.drop_url(url)
-                    self.context.registry.drop_url(url)
-
-    def _run_batched_polls(self, schedule, live_tasks, doomed, urls_to_eject) -> None:
-        """Set-oriented arm of the poll phase (mirrors the synchronous
-        invalidator's): compile, execute under the database lock, then
-        demultiplex in schedule order with the same per-task bookkeeping
-        as the per-instance loop."""
-        ctx = self.context
-        stats = self.polling.stats
-        batched_before = (
-            stats.batched_queries, stats.batched_instances, stats.demux_misses
-        )
-        pending = [
-            (candidate.key, live_tasks[candidate.key][1].polling_query)
-            for candidate in schedule.to_poll
-            if live_tasks[candidate.key][0].instance_id not in doomed
-        ]
-        with ctx.db_lock:
-            outcomes = self.batch_poller.execute(pending)
-        for candidate in schedule.to_poll:
-            instance, _verdict = live_tasks[candidate.key]
-            if instance.instance_id in doomed:
-                continue
-            outcome = outcomes.get(candidate.key)
-            if outcome is None:  # pragma: no cover - defensive
-                continue
-            self.metrics.add(polls_executed=1)
-            with ctx.registry_lock:
-                query_type = instance.query_type
-                query_type.stats.polling_queries_issued += 1
-                if outcome.work_units > 0:
-                    query_type.cost = (
-                        0.8 * query_type.cost + 0.2 * outcome.work_units
-                    )
-            if outcome.impacted:
-                self.metrics.add(polls_impacted=1)
-                self._doom(instance, urls_to_eject, doomed)
-        self.metrics.add(
-            batched_queries=stats.batched_queries - batched_before[0],
-            batched_instances=stats.batched_instances - batched_before[1],
-            demux_misses=stats.demux_misses - batched_before[2],
-        )
-
-    def _doom(self, instance, urls_to_eject, doomed) -> None:
-        doomed[instance.instance_id] = instance
-        with self.context.registry_lock:
-            instance.query_type.stats.record_invalidation(elapsed=0.0)
-            for url in sorted(instance.urls):
-                urls_to_eject.setdefault(url)
-
-    def _deadline_for(self, instance) -> float:
-        deadline = instance.query_type.deadline_ms
-        resolver = self.context.servlet_deadline
-        if resolver is not None:
-            for servlet in instance.servlets:
-                try:
-                    deadline = min(deadline, resolver(servlet))
-                except Exception:
-                    continue  # unknown servlet: keep the type default
-        return deadline
+                ctx.tiers.drop_urls(urls)
 
 
 class WorkerPool:
@@ -569,7 +163,6 @@ class WorkerPool:
         self,
         num_shards: int,
         context: WorkerContext,
-        bus: EjectBus,
         metrics: PipelineMetrics,
         queue_capacity: int = 64,
     ) -> None:
@@ -578,7 +171,7 @@ class WorkerPool:
         self.num_shards = num_shards
         self.workers = [
             InvalidationWorker(
-                shard_id, context, bus, metrics, queue_capacity=queue_capacity
+                shard_id, context, metrics, queue_capacity=queue_capacity
             )
             for shard_id in range(num_shards)
         ]

@@ -51,9 +51,9 @@ class TestDeadlineDerivation:
             next(iter(instance.servlets)): instance
             for instance in invalidator.registry.instances()
         }
-        assert invalidator._deadline_for(by_servlet["servlet_a"]) == 50.0
+        assert invalidator.tiers.deadline_for(by_servlet["servlet_a"]) == 50.0
         # The type default (1000ms) is tighter than servlet_b's 5000ms.
-        assert invalidator._deadline_for(by_servlet["servlet_b"]) == 1000.0
+        assert invalidator.tiers.deadline_for(by_servlet["servlet_b"]) == 1000.0
 
     def test_unknown_servlet_keeps_default(self):
         def resolver(name):
@@ -66,7 +66,7 @@ class TestDeadlineDerivation:
         instance = invalidator.registry.observe_instance(
             "SELECT * FROM car", "u", servlet="ghost"
         )
-        assert invalidator._deadline_for(instance) == 1000.0
+        assert invalidator.tiers.deadline_for(instance) == 1000.0
 
 
 class TestBudgetedOrdering:
@@ -113,7 +113,7 @@ class TestBudgetedOrdering:
         portal.run_sniffer()
         portal.invalidator.ingest_qiurl_rows()
         instance = portal.invalidator.registry.instances()[0]
-        assert portal.invalidator._deadline_for(instance) == 1000.0  # type default
+        assert portal.invalidator.tiers.deadline_for(instance) == 1000.0  # type default
         servlets[1].temporal_sensitivity_ms = 100.0
         # The wrapped servlet shares metadata captured at wrap time, so
         # resolve via the portal's resolver directly:

@@ -118,3 +118,85 @@ class TestSortedIndex:
     def test_empty_range(self):
         index = SortedIndex("idx", schema(), ["a"])
         assert index.range_lookup(low=1, high=10) == set()
+
+
+INDEX_KINDS = [
+    pytest.param(lambda name: HashIndex(name, schema(), ["a"]), id="hash"),
+    pytest.param(lambda name: SortedIndex(name, schema(), ["a"]), id="sorted"),
+]
+
+
+class TestNullKeysMatchNothing:
+    """``col = NULL`` is never true, so an equality probe with a NULL key
+    component finds no row, however the index stores its NULL entries."""
+
+    @pytest.mark.parametrize("make", INDEX_KINDS)
+    def test_lookup_null_is_empty(self, make):
+        index = make("idx")
+        for rowid, value in enumerate([1, None, 3], start=1):
+            index.add(rowid, (value, "p"))
+        assert index.lookup((None,)) == set()
+        assert index.lookup((1,)) == {1}
+
+    @pytest.mark.parametrize("make", INDEX_KINDS)
+    def test_lookup_many_skips_null(self, make):
+        index = make("idx")
+        for rowid, value in enumerate([1, None, 3], start=1):
+            index.add(rowid, (value, "p"))
+        assert index.lookup_many([None, 3]) == {3}
+        assert index.lookup_many([None]) == set()
+
+    def test_multi_column_null_component(self):
+        index = HashIndex("idx", schema(), ["a", "b"])
+        index.add(1, (None, "x"))
+        index.add(2, (5, None))
+        assert index.lookup((None, "x")) == set()
+        assert index.lookup((5, None)) == set()
+
+
+def null_db(executor, sorted_index):
+    from repro.db import Database
+
+    db = Database(executor=executor)
+    db.execute("CREATE TABLE t (id INT, a INT)")
+    db.execute("INSERT INTO t VALUES (1, 1)")
+    db.execute("INSERT INTO t VALUES (2, NULL)")
+    db.execute("INSERT INTO t VALUES (3, 3)")
+    db.create_index("i", "t", ["a"], sorted_index=sorted_index)
+    return db
+
+
+@pytest.mark.parametrize("executor", ["columnar", "row"])
+@pytest.mark.parametrize("sorted_index", [True, False], ids=["sorted", "hash"])
+class TestNullThroughTheEngine:
+    def plan(self, db, sql):
+        return " ".join(row[0] for row in db.query(f"EXPLAIN {sql}"))
+
+    def test_eq_null_returns_nothing(self, executor, sorted_index):
+        db = null_db(executor, sorted_index)
+        sql = "SELECT id FROM t WHERE a = NULL"
+        assert "IndexEqLookup" in self.plan(db, sql)
+        assert db.query(sql) == []
+
+    def test_in_list_with_null_uses_index(self, executor, sorted_index):
+        db = null_db(executor, sorted_index)
+        sql = "SELECT id FROM t WHERE a IN (NULL, 3)"
+        assert "IndexInLookup" in self.plan(db, sql)
+        assert db.query(sql) == [(3,)]
+
+    def test_values_probe_with_null(self, executor, sorted_index):
+        # The batch poller's shape: a NULL binding probes nothing.
+        db = null_db(executor, sorted_index)
+        rows = db.query(
+            "SELECT DISTINCT p.tid FROM (VALUES (0, NULL), (1, 1)) "
+            "AS p (tid, v), t WHERE t.a = p.v"
+        )
+        assert rows == [(1,)]
+
+    def test_is_null_still_finds_null_rows(self, executor, sorted_index):
+        db = null_db(executor, sorted_index)
+        assert db.query("SELECT id FROM t WHERE a IS NULL") == [(2,)]
+        assert sorted(db.query("SELECT id FROM t WHERE a IS NOT NULL")) == [
+            (1,),
+            (3,),
+        ]
