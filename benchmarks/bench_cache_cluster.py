@@ -28,10 +28,11 @@ Scale knobs (CI smoke runs tiny values):
 """
 
 import os
+from dataclasses import asdict
 
-from repro.cluster import ClusterWorkloadConfig, cluster_contents, run_cluster_workload
-from repro.cluster.workload import build_cluster
+from repro.cluster import CacheCluster
 
+from cluster_workload import ClusterWorkloadConfig, cluster_contents, run_cluster_workload
 from conftest import emit
 
 SHARD_COUNTS = [
@@ -108,7 +109,7 @@ def test_shard_count_sweep(tmp_path):
         ],
         data={
             "shard_counts": SHARD_COUNTS,
-            "results": [row.to_dict() for row in rows],
+            "results": [asdict(row) for row in rows],
             "hit_ratio_spread": round(hit_spread, 4),
             "latency_spread_ms": round(lat_spread, 4),
         },
@@ -164,9 +165,9 @@ def test_warm_restart_recovers_hot_set(tmp_path):
             f"(target ≥95%)",
         ],
         data={
-            "baseline": baseline.to_dict(),
-            "warm": warm.to_dict(),
-            "cold": cold.to_dict(),
+            "baseline": asdict(baseline),
+            "warm": asdict(warm),
+            "cold": asdict(cold),
             "recovery_ratio": round(recovery_ratio, 4),
         },
     )
@@ -184,8 +185,15 @@ def test_routed_fanout_parity_with_broadcast(tmp_path):
     """Routing delivers to owners only, and the surviving cache contents
     are byte-identical to the broadcast control arm's."""
     shards = 8
-    routed_cluster = build_cluster(config_for(shards))
-    bcast_cluster = build_cluster(config_for(shards))
+    config = config_for(shards)
+    routed_cluster, bcast_cluster = (
+        CacheCluster(
+            num_shards=shards,
+            hot_bytes=config.hot_bytes,
+            cold_entries=config.cold_entries,
+        )
+        for _ in range(2)
+    )
     routed = run_cluster_workload(
         config_for(shards, routed=True, checkpoint_dir=tmp_path / "r"),
         cluster=routed_cluster,
@@ -211,8 +219,8 @@ def test_routed_fanout_parity_with_broadcast(tmp_path):
             f"{'byte-identical' if identical else 'DIVERGED'}",
         ],
         data={
-            "routed": routed.to_dict(),
-            "broadcast": bcast.to_dict(),
+            "routed": asdict(routed),
+            "broadcast": asdict(bcast),
             "pages_identical": identical,
         },
     )

@@ -11,7 +11,6 @@ import dataclasses
 
 import pytest
 
-from repro.serve.metrics import sim_curve_point
 from repro.sim.configs import (
     DataCacheMode,
     simulate_config2,
@@ -45,17 +44,21 @@ def test_request_rate_sweep(benchmark, bench_model, sweep_rows):
     benchmark.pedantic(
         lambda: simulate_config3(UPDATES_5, model), rounds=1, iterations=1
     )
-    # Each simulated point is emitted in the same curve_point schema the
-    # measured gateway sweeps of bench_serving.py use, so simulated and
-    # measured req/s × latency curves plot from one JSON document.
-    points = []
-    for rate, conf2, conf3 in sweep_rows:
-        points.append(
-            sim_curve_point("config2-sim", rate, conf2, exp_resp_ms=conf2.exp_resp_ms)
-        )
-        points.append(
-            sim_curve_point("config3-sim", rate, conf3, exp_resp_ms=conf3.exp_resp_ms)
-        )
+    points = [
+        {
+            "arm": arm,
+            "offered_rps": rate,
+            "exp_resp_ms": stats.exp_resp_ms,
+            "p50_ms": stats.p50_ms,
+            "p95_ms": stats.p95_ms,
+            "p99_ms": stats.p99_ms,
+            "p999_ms": stats.p999_ms,
+            "hit_ratio": round(stats.hit_ratio, 4),
+            "completed": stats.completed,
+        }
+        for rate, conf2, conf3 in sweep_rows
+        for arm, stats in (("config2-sim", conf2), ("config3-sim", conf3))
+    ]
     emit(
         "Ablation G — expected response vs request rate (<5,5,5,5> updates/s)",
         (

@@ -56,7 +56,7 @@ def pytest_sessionfinish(session, exitstatus):
         "results": list(_RESULTS),
     }
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, default=str)
         handle.write("\n")
 
 

@@ -8,13 +8,13 @@ Commands:
   scalability view behind the paper's 30 req/s operating point);
 * ``demo`` — the quickstart loop: cache, hit, update, invalidate;
 * ``example41`` — the paper's Example 4.1 decision walkthrough;
-* ``serve`` — the serving front end: ``http`` runs a CachePortal site as
-  a real HTTP server via wsgiref; ``bench`` drives the async gateway
-  with an open-loop Zipfian workload and reports req/s × latency;
+* ``stream`` / ``cycle`` — the streaming pipeline and the synchronous
+  invalidator over one two-table demo site;
+* ``serve http`` — runs a CachePortal site as a real HTTP server via
+  wsgiref;
 * ``audit`` — crash/restart staleness audit of checkpoint recovery,
   optionally fronted by a sharded cache cluster whose shards crash too;
-* ``cluster`` — sharded cache cluster: ``status`` health view and
-  ``bench`` Zipfian workloads with routed ejects and kill/restart arms;
+* ``analyze`` — static template-conflict analysis of SQL workload files;
 * ``lint`` — invalidation-safety lint of SQL workload files (or of the
   query instances inside a checkpoint), with machine-readable output
   and CI-friendly ``--fail-on`` exit codes.
@@ -23,7 +23,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
@@ -142,12 +141,10 @@ def _run_example41() -> int:
     return 0
 
 
-def _run_stream(args: argparse.Namespace) -> int:
-    """Drive the streaming invalidation pipeline and print its stats."""
-    import json
-
-    from repro import CachePortal, Configuration, Database, KeySpec, build_site
-    from repro.stream import StreamingInvalidationPipeline
+def _build_demo_site():
+    """The ``stream``/``cycle`` demo: a two-table product/review site
+    (a catalog page and a join page) in Configuration III."""
+    from repro import Configuration, Database, KeySpec, build_site
     from repro.web import QueryPageServlet
     from repro.web.servlet import QueryBinding
 
@@ -181,7 +178,17 @@ def _run_stream(args: argparse.Namespace) -> int:
             key_spec=KeySpec.make(get_keys=["min_stars"]),
         ),
     ]
-    site = build_site(Configuration.WEB_CACHE, servlets, database=db)
+    return db, build_site(Configuration.WEB_CACHE, servlets, database=db)
+
+
+def _run_stream(args: argparse.Namespace) -> int:
+    """Drive the streaming invalidation pipeline and print its stats."""
+    import json
+
+    from repro import CachePortal
+    from repro.stream import StreamingInvalidationPipeline
+
+    db, site = _build_demo_site()
     portal = CachePortal(site)
     pipeline = StreamingInvalidationPipeline.for_portal(
         portal,
@@ -265,67 +272,19 @@ def _run_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_cycle_site(
-    batch_polling: bool,
-    polling_budget,
-    version_keys: bool = True,
-    conflict_matrix: bool = True,
-):
-    """The ``stream`` demo's site, but driven by the synchronous portal."""
-    from repro import CachePortal, Configuration, Database, KeySpec, build_site
-    from repro.web import QueryPageServlet
-    from repro.web.servlet import QueryBinding
-
-    db = Database()
-    db.execute("CREATE TABLE product (name TEXT, price INT)")
-    db.execute("CREATE TABLE review (name TEXT, stars INT)")
-    db.execute("INSERT INTO product VALUES ('phone', 800), ('desk', 300)")
-    db.execute("INSERT INTO review VALUES ('phone', 5), ('desk', 4)")
-    servlets = [
-        QueryPageServlet(
-            name="catalog",
-            path="/catalog",
-            queries=[
-                (
-                    "SELECT name, price FROM product WHERE price < ?",
-                    [QueryBinding("get", "max_price", int)],
-                )
-            ],
-            key_spec=KeySpec.make(get_keys=["max_price"]),
-        ),
-        QueryPageServlet(
-            name="reviews",
-            path="/reviews",
-            queries=[
-                (
-                    "SELECT product.name, review.stars FROM product, review "
-                    "WHERE product.name = review.name AND review.stars > ?",
-                    [QueryBinding("get", "min_stars", int)],
-                )
-            ],
-            key_spec=KeySpec.make(get_keys=["min_stars"]),
-        ),
-    ]
-    site = build_site(Configuration.WEB_CACHE, servlets, database=db)
-    portal = CachePortal(
-        site,
-        polling_budget=polling_budget,
-        batch_polling=batch_polling,
-        version_keys=version_keys,
-        conflict_matrix=conflict_matrix,
-    )
-    return db, site, portal
-
-
 def _run_cycle(args: argparse.Namespace) -> int:
     """Run synchronous invalidation cycles and print their reports —
     the A/B entry point for set-oriented vs per-instance polling."""
     import dataclasses
     import json
 
-    db, site, portal = _build_cycle_site(
-        batch_polling=not args.no_batch_polling,
+    from repro import CachePortal
+
+    db, site = _build_demo_site()
+    portal = CachePortal(
+        site,
         polling_budget=args.polling_budget,
+        batch_polling=not args.no_batch_polling,
         version_keys=not args.no_version_keys,
         conflict_matrix=not args.no_conflict_matrix,
     )
@@ -459,109 +418,6 @@ def _run_audit(args: argparse.Namespace) -> int:
         for stale in report.stale_serves[:10]:
             print(f"  STALE {stale['url']} (after op {stale['op']})")
     return 0 if report.passed else 1
-
-
-def _cluster_config_from_args(args: argparse.Namespace):
-    from repro.cluster import ClusterWorkloadConfig
-
-    return ClusterWorkloadConfig(
-        shards=args.shards,
-        vnodes=args.vnodes,
-        hot_bytes=args.hot_kb * 1024,
-        cold_entries=args.cold_entries,
-        replicas=args.replicas,
-        keys=args.keys,
-        zipf_s=args.zipf,
-        warmup=args.warmup,
-        requests=args.requests,
-        ejects=args.ejects,
-        seed=args.seed,
-        routed=not args.broadcast,
-        kill_shards=args.kill,
-        restart="cold" if args.cold else "warm",
-    )
-
-
-def _run_cluster_status(args: argparse.Namespace) -> int:
-    """Run a short seeded workload on a fresh cluster and show its health."""
-    import json
-
-    from repro.cluster import build_cluster, run_cluster_workload
-
-    config = _cluster_config_from_args(args)
-    cluster = build_cluster(config)
-    run_cluster_workload(config, cluster=cluster)
-    status = cluster.status()
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    ring = status["ring"]
-    print(
-        f"cluster : {len(status['shards'])} shard(s), "
-        f"{status['replicas']} replica(s), {ring['vnodes']} vnodes/shard"
-    )
-    print(
-        f"ring    : load spread {ring['min_share']:.4f}.."
-        f"{ring['max_share']:.4f} (ideal {ring['ideal_share']:.4f})"
-    )
-    print(
-        f"pages   : {status['pages']} cached, {status['bytes_used']} bytes "
-        f"of {status['hot_bytes_budget']} hot budget, "
-        f"hit ratio {status['hit_ratio']}"
-    )
-    print(f"journal : {status['journal_keys']} keys with eject stamps")
-    for shard in status["shards"]:
-        print(
-            f"  {shard['name']}: {shard['hot_pages']} hot "
-            f"({shard['hot_bytes_used']}B) + {shard['cold_pages']} cold, "
-            f"hit ratio {shard['hit_ratio']}, "
-            f"{shard['ejects']} ejects, {shard['restores']} restore(s)"
-        )
-    return 0
-
-
-def _run_cluster_bench(args: argparse.Namespace) -> int:
-    """One cluster workload run (optionally with kill/restart arms)."""
-    import json
-
-    from repro.cluster import run_cluster_workload
-
-    config = _cluster_config_from_args(args)
-    result = run_cluster_workload(config)
-    payload = result.to_dict()
-    if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json is True:
-            print(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"bench report written to {args.json}")
-        return 0
-    arm = "routed" if config.routed else "broadcast"
-    print(
-        f"bench   : {config.shards} shard(s), {config.keys} keys "
-        f"(zipf s={config.zipf_s}), {config.requests} requests/pass [{arm}]"
-    )
-    print(
-        f"serving : hit ratio {result.hit_ratio_pass1:.4f} → "
-        f"{result.hit_ratio_pass2:.4f}, {result.pages_cached} pages "
-        f"({result.bytes_used} bytes) cached"
-    )
-    print(
-        f"ejects  : {result.deliveries_ok} deliveries "
-        f"({result.ejects_routed} routed, {result.ejects_broadcast} "
-        f"broadcast), {result.routed_deliveries_saved} deliveries saved, "
-        f"mean latency {result.eject_latency_mean_ms}ms"
-    )
-    if result.killed:
-        print(
-            f"crash   : killed {', '.join(result.killed)} "
-            f"({result.pages_lost} pages lost), "
-            f"{result.pages_restored} restored warm, "
-            f"{result.pages_dropped_on_restore} dropped by the journal"
-        )
-    return 0
 
 
 def _split_statements(text: str) -> List[str]:
@@ -833,106 +689,6 @@ def _run_serve_http(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_serve_bench(args: argparse.Namespace) -> int:
-    """Open-loop throughput/latency measurement of the async gateway."""
-    import asyncio
-
-    from repro import CachePortal, Configuration, Database, KeySpec, build_site
-    from repro.serve import (
-        ArrivalSchedule,
-        AsyncGateway,
-        OpenLoopLoadGenerator,
-        ZipfianPopulation,
-    )
-    from repro.stream import StreamingInvalidationPipeline
-    from repro.web import QueryPageServlet
-    from repro.web.servlet import QueryBinding
-
-    db = Database()
-    db.execute("CREATE TABLE item (id INT, name TEXT, price INT)")
-    db.execute("CREATE INDEX idx_item_id ON item (id)")
-    batch = []
-    for i in range(1, args.rows + 1):
-        batch.append(f"({i}, 'item-{i}', {1000 + (i % 97)})")
-        if len(batch) == 500:
-            db.execute("INSERT INTO item VALUES " + ",".join(batch))
-            batch = []
-    if batch:
-        db.execute("INSERT INTO item VALUES " + ",".join(batch))
-    servlet = QueryPageServlet(
-        name="item",
-        path="/item",
-        queries=[
-            (
-                "SELECT id, name, price FROM item WHERE id = ?",
-                [QueryBinding("get", "id", int)],
-            )
-        ],
-        key_spec=KeySpec.make(get_keys=["id"]),
-    )
-    site = build_site(
-        Configuration.WEB_CACHE,
-        [servlet],
-        database=db,
-        num_servers=2,
-        web_cache_capacity=1 << 20,
-    )
-    portal = CachePortal(site)
-    pipeline = None
-    if args.invalidate:
-        pipeline = StreamingInvalidationPipeline.for_portal(portal)
-        pipeline.register_cache("page-cache", site.web_cache)
-
-    population = ZipfianPopulation(args.population, s=args.skew, seed=args.seed)
-    schedule = ArrivalSchedule.fixed(args.rate, args.duration)
-
-    async def drive():
-        gateway = AsyncGateway(
-            site,
-            workers=args.workers,
-            tick=pipeline.process_available if pipeline is not None else None,
-            tick_interval=0.01,
-        )
-        await gateway.start()
-        generator = OpenLoopLoadGenerator(gateway, population, schedule)
-        plan = generator.plan()
-        if args.warm:
-            for index in sorted({index for _offset, index in plan}):
-                site.get(population.url_for(index))
-            if pipeline is not None:
-                pipeline.process_available()
-        result = await generator.run(plan=plan)
-        await gateway.stop()
-        return gateway, result
-
-    gateway, result = asyncio.run(drive())
-    row = result.curve_point(
-        "inv-on" if args.invalidate else "inv-off",
-        workers=args.workers,
-        coalesced=gateway.stats.coalesced,
-        ejects=site.web_cache.stats.ejects,
-    )
-    if args.json:
-        print(json.dumps(row, indent=2, sort_keys=True))
-    else:
-        quantiles = result.histogram.percentiles_ms()
-        print(
-            f"offered {result.offered_rps:,.0f} req/s → achieved "
-            f"{result.achieved_rps:,.0f} req/s "
-            f"(hit ratio {result.hit_ratio:.3f}, shed {result.shed})"
-        )
-        print(
-            "p50 {p50_ms:.2f}ms  p95 {p95_ms:.2f}ms  p99 {p99_ms:.2f}ms  "
-            "p99.9 {p999_ms:.2f}ms".format(**quantiles)
-        )
-        print(
-            f"queue depth peak {result.queue_depth_peak}, "
-            f"coalesced {gateway.stats.coalesced}, "
-            f"ejects {site.web_cache.stats.ejects}"
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1050,58 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "instead of warm-restoring their snapshots")
     p_audit.set_defaults(func=_run_audit)
 
-    p_cluster = sub.add_parser(
-        "cluster", help="sharded cache cluster: status and benchmarks"
-    )
-    cluster_sub = p_cluster.add_subparsers(dest="cluster_command", required=True)
-
-    def add_cluster_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--shards", type=int, default=4,
-                       help="cache shard count (default 4)")
-        p.add_argument("--vnodes", type=int, default=128,
-                       help="virtual nodes per shard on the ring")
-        p.add_argument("--hot-kb", type=int, default=256,
-                       help="per-shard DRAM budget in KiB (default 256)")
-        p.add_argument("--cold-entries", type=int, default=2048,
-                       help="per-shard overflow-tier capacity")
-        p.add_argument("--replicas", type=int, default=1,
-                       help="owners per key (default 1)")
-        p.add_argument("--keys", type=int, default=5000,
-                       help="distinct URL population")
-        p.add_argument("--zipf", type=float, default=1.1,
-                       help="Zipf skew of the request stream")
-        p.add_argument("--warmup", type=int, default=5000,
-                       help="warmup requests before measurement")
-        p.add_argument("--requests", type=int, default=10000,
-                       help="requests per measured pass")
-        p.add_argument("--ejects", type=int, default=2000,
-                       help="eject orders published through the bus")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--broadcast", action="store_true",
-                       help="control arm: broadcast ejects to every shard "
-                            "instead of routing to owners")
-        p.add_argument("--kill", type=int, default=0,
-                       help="shards to kill (then restart) mid-workload")
-        p.add_argument("--cold", action="store_true",
-                       help="restart killed shards cold instead of warm")
-
-    p_cl_status = cluster_sub.add_parser(
-        "status", help="run a short workload and show cluster health"
-    )
-    add_cluster_args(p_cl_status)
-    p_cl_status.add_argument("--json", action="store_true",
-                             help="emit the status payload as JSON")
-    p_cl_status.set_defaults(func=_run_cluster_status)
-
-    p_cl_bench = cluster_sub.add_parser(
-        "bench", help="Zipfian workload benchmark with optional kill/restart"
-    )
-    add_cluster_args(p_cl_bench)
-    p_cl_bench.add_argument("--json", nargs="?", const=True, default=False,
-                            metavar="FILE",
-                            help="emit the result as JSON (to FILE if given)")
-    p_cl_bench.set_defaults(func=_run_cluster_bench)
-
     p_analyze = sub.add_parser(
         "analyze",
         help="static template-conflict analysis of SQL workload files",
@@ -1136,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=_run_lint)
 
     p_serve = sub.add_parser(
-        "serve", help="the serving front end: real HTTP or open-loop bench"
+        "serve", help="the serving front end over real HTTP"
     )
     serve_sub = p_serve.add_subparsers(dest="serve_command", required=True)
 
@@ -1146,32 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv_http.add_argument("--host", default="")
     p_sv_http.add_argument("--port", type=int, default=8000)
     p_sv_http.set_defaults(func=_run_serve_http)
-
-    p_sv_bench = serve_sub.add_parser(
-        "bench", help="open-loop req/s × latency through the async gateway"
-    )
-    p_sv_bench.add_argument("--rate", type=float, default=100000.0,
-                            help="offered request rate (req/s)")
-    p_sv_bench.add_argument("--duration", type=float, default=2.0,
-                            help="seconds of offered load")
-    p_sv_bench.add_argument("--population", type=int, default=1000000,
-                            help="Zipfian URL population size")
-    p_sv_bench.add_argument("--skew", type=float, default=1.5,
-                            help="Zipf exponent s")
-    p_sv_bench.add_argument("--rows", type=int, default=5000,
-                            help="rows in the backing item table")
-    p_sv_bench.add_argument("--workers", type=int, default=4,
-                            help="miss-lane worker count")
-    p_sv_bench.add_argument("--seed", type=int, default=20260808)
-    p_sv_bench.add_argument("--invalidate", action="store_true",
-                            help="run the streaming invalidation pipeline "
-                                 "as a gateway tick")
-    p_sv_bench.add_argument("--no-warm", dest="warm", action="store_false",
-                            help="skip pre-generating the plan's pages "
-                                 "(measures the cold ramp)")
-    p_sv_bench.add_argument("--json", action="store_true",
-                            help="emit the curve point as JSON")
-    p_sv_bench.set_defaults(func=_run_serve_bench)
 
     return parser
 

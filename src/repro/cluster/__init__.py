@@ -30,21 +30,10 @@ from repro.cluster.shard import (
     EjectJournal,
     ShardStats,
 )
-from repro.cluster.workload import (
-    ClusterWorkloadConfig,
-    ClusterWorkloadResult,
-    ZipfianKeys,
-    build_cluster,
-    cluster_contents,
-    make_page,
-    run_cluster_workload,
-)
 
 __all__ = [
     "CacheCluster",
     "CacheShard",
-    "ClusterWorkloadConfig",
-    "ClusterWorkloadResult",
     "ConsistentHashRing",
     "DEFAULT_COLD_ENTRIES",
     "DEFAULT_HOT_BYTES",
@@ -57,12 +46,7 @@ __all__ = [
     "ShardFactory",
     "ShardRestoreReport",
     "ShardStats",
-    "ZipfianKeys",
     "attach_cluster_to_bus",
-    "build_cluster",
-    "cluster_contents",
-    "make_page",
-    "run_cluster_workload",
     "shard_names",
     "stable_hash",
 ]

@@ -13,7 +13,7 @@ restart-tolerant shards.  The facade plays two roles:
 * **control plane** — membership (add/remove shards), per-shard
   kill/restart with warm restore from the PR-3 checkpoint subsystem,
   the shared eject journal that makes warm restarts staleness-safe, and
-  the aggregated status the ``repro cluster`` CLI renders.
+  the aggregated health view of :meth:`CacheCluster.status`.
 
 The facade survives individual shard kills (it is the membership
 service, not a cache process); whole-cluster restarts go through the
@@ -322,7 +322,7 @@ class CacheCluster:
         return hits / lookups if lookups else 0.0
 
     def status(self) -> Dict[str, object]:
-        """The ``repro cluster status`` payload."""
+        """Cluster health: per-shard tiers, ring balance, hit ratio."""
         return {
             "shards": [shard.status() for shard in self.shards],
             "ring": self.ring.stats(),

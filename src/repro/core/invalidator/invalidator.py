@@ -156,6 +156,9 @@ class Invalidator:
         self.batch_poller = self.lane.batch_poller
         self.grouped_checker = self.lane.grouped_checker
         self.messages = InvalidationMessageGenerator(caches)
+        # Pages whose eject some cache missed: still registered, re-sent
+        # at the start of every cycle until each cache has taken it.
+        self.undelivered: Dict[str, None] = {}  # insertion-ordered set
         self.cycles_run = 0
         self.last_report: Optional[InvalidationReport] = None
 
@@ -186,6 +189,8 @@ class Invalidator:
         report = InvalidationReport()
         doomed = Doomed()
         self.ingest_qiurl_rows()
+        if self.undelivered:
+            self._eject(list(self.undelivered), report)
         # Fingerprint newly discovered POLL_ONLY instances before any
         # update is examined; the synchronous cycle always promotes the
         # previous baseline (its records are fully processed).
@@ -212,9 +217,7 @@ class Invalidator:
             self.lane.poll(tasks, doomed, counts)
             for name, amount in counts.items():
                 setattr(report, name, getattr(report, name) + amount)
-            urls = sorted(doomed.urls)
-            self._eject(urls, report)
-            self.tiers.drop_urls(urls)
+            self._eject(sorted(doomed.urls), report)
             report.polling_work_units = self.polling.stats.total_work_units
             # Policy discovery runs at the end of each cycle (§4.1.4).
             self.policy_engine.discover(self.registry)
@@ -224,9 +227,19 @@ class Invalidator:
         return report
 
     def _eject(self, urls: List[str], report: InvalidationReport) -> None:
+        """Send the ejects, then forget only the pages every cache
+        dropped; the rest stay registered and in ``undelivered``."""
         outcomes = self.messages.invalidate(urls)
-        report.urls_ejected = len(outcomes)
-        report.pages_removed = sum(outcome.pages_removed for outcome in outcomes)
+        report.urls_ejected += len(outcomes)
+        report.pages_removed += sum(outcome.pages_removed for outcome in outcomes)
+        delivered = []
+        for outcome in outcomes:
+            if outcome.delivery_failures:
+                self.undelivered.setdefault(outcome.url_key)
+            else:
+                self.undelivered.pop(outcome.url_key, None)
+                delivered.append(outcome.url_key)
+        self.tiers.drop_urls(delivered)
 
 
 class TriggerInvalidator:

@@ -99,4 +99,4 @@ class SimulationError(ReproError):
 
 
 class ServeError(ReproError):
-    """Base class for the async serving front end (gateway/loadgen)."""
+    """Raised for async serving gateway misuse (e.g. no miss workers)."""

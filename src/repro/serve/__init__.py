@@ -1,41 +1,18 @@
-"""The asynchronous serving front end (ROADMAP: six-figure req/s).
+"""The asynchronous serving front end.
 
 This package ports the synchronous ``LoadBalancer → WebServer →
 ApplicationServer → sniffer`` request path to cooperative concurrency
 without forking any of those classes:
+:class:`~repro.serve.gateway.AsyncGateway` fronts a
+:class:`~repro.web.site.Site` (optionally with a
+:class:`~repro.cluster.cluster.CacheCluster` as its page cache), serving
+cache hits entirely on the event loop and running servlet+DB work for
+misses on a bounded pool of worker threads.
 
-* :class:`~repro.serve.gateway.AsyncGateway` fronts a
-  :class:`~repro.web.site.Site` (optionally with a
-  :class:`~repro.cluster.cluster.CacheCluster` as its page cache),
-  serving cache hits entirely on the event loop and running servlet+DB
-  work for misses on a bounded pool of worker threads;
-* :mod:`~repro.serve.loadgen` generates **open-loop** load — arrivals
-  scheduled independently of completions, so queueing collapse is
-  visible instead of being absorbed by a closed feedback loop;
-* :mod:`~repro.serve.metrics` holds the latency histogram and the
-  shared curve-point schema that lets measured sweeps and
-  :mod:`repro.sim` model predictions plot side by side.
+The traffic that exercises it belongs to the experiment, not the
+product: ``bench/`` drives the gateway open- and closed-loop.
 """
 
 from repro.serve.gateway import AsyncGateway, GatewayStats
-from repro.serve.loadgen import (
-    ArrivalSchedule,
-    OpenLoopLoadGenerator,
-    OpenLoopResult,
-    RatePhase,
-    ZipfianPopulation,
-)
-from repro.serve.metrics import LatencyHistogram, curve_point, sim_curve_point
 
-__all__ = [
-    "ArrivalSchedule",
-    "AsyncGateway",
-    "GatewayStats",
-    "LatencyHistogram",
-    "OpenLoopLoadGenerator",
-    "OpenLoopResult",
-    "RatePhase",
-    "ZipfianPopulation",
-    "curve_point",
-    "sim_curve_point",
-]
+__all__ = ["AsyncGateway", "GatewayStats"]

@@ -299,9 +299,9 @@ class FlakyCache(WebCache):
             Evaluated only when no ``failure_plan`` is given and the
             ``fail_first`` run-in has been consumed.
         rng: explicit seeded random source for ``failure_rate`` draws.
-            The cluster bench and audit hand each shard its own
-            ``random.Random(seed ^ shard_index)`` so fault injection is
-            deterministic per shard and reproducible across runs; an
+            Give each faulted cache (or cluster shard) its own
+            ``random.Random(seed ^ index)`` so fault injection is
+            deterministic per cache and reproducible across runs; an
             unseeded default is created only as a convenience fallback.
     """
 

@@ -3,9 +3,11 @@ kill/restart, and whole-cluster checkpointing."""
 
 import pytest
 
-from repro.cluster import CacheCluster, make_page
+from repro.cluster import CacheCluster
 from repro.core import recovery
 from repro.errors import ClusterError
+
+from cluster_workload import make_page
 
 
 @pytest.fixture

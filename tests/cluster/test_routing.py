@@ -5,17 +5,16 @@ import random
 
 import pytest
 
-from repro.cluster import (
-    CacheCluster,
+from repro.cluster import CacheCluster, attach_cluster_to_bus
+from repro.stream.bus import EjectBus
+from repro.stream.metrics import PipelineMetrics
+
+from cluster_workload import (
     ClusterWorkloadConfig,
-    attach_cluster_to_bus,
     cluster_contents,
     make_page,
     run_cluster_workload,
 )
-from repro.cluster.workload import build_cluster
-from repro.stream.bus import EjectBus
-from repro.stream.metrics import PipelineMetrics
 
 
 @pytest.fixture
@@ -139,8 +138,8 @@ def test_routed_and_broadcast_leave_byte_identical_contents(tmp_path):
     base = dict(
         shards=4, keys=400, warmup=800, requests=1200, ejects=300, seed=21
     )
-    routed_cluster = build_cluster(ClusterWorkloadConfig(**base))
-    bcast_cluster = build_cluster(ClusterWorkloadConfig(**base))
+    routed_cluster = CacheCluster(num_shards=4, cold_entries=2048)
+    bcast_cluster = CacheCluster(num_shards=4, cold_entries=2048)
     routed = run_cluster_workload(
         ClusterWorkloadConfig(routed=True, checkpoint_dir=tmp_path / "r", **base),
         cluster=routed_cluster,

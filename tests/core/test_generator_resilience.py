@@ -62,3 +62,44 @@ class TestEjectResilience:
         assert report.urls_ejected == 1
         assert "u1" not in healthy
         assert invalidator.messages.delivery_failures == 1
+
+    def test_failed_eject_is_resent_until_delivered(self):
+        """A page whose eject a cache missed stays registered and its
+        eject goes out again next cycle, so the page cannot stay stale."""
+        from repro import CachePortal, Configuration, Database, KeySpec, build_site
+        from repro.web import QueryPageServlet
+        from repro.web.cache import FlakyCache
+        from repro.web.servlet import QueryBinding
+
+        db = Database()
+        db.execute("CREATE TABLE product (name TEXT, category TEXT, price INT)")
+        db.execute("INSERT INTO product VALUES ('phone', 'electronics', 800)")
+        catalog = QueryPageServlet(
+            name="catalog",
+            path="/catalog",
+            queries=[
+                (
+                    "SELECT name, price FROM product WHERE category = ? AND price < ?",
+                    [QueryBinding("get", "category"), QueryBinding("get", "max_price", int)],
+                )
+            ],
+            key_spec=KeySpec.make(get_keys=["category", "max_price"]),
+        )
+        site = build_site(
+            Configuration.WEB_CACHE,
+            [catalog],
+            database=db,
+            web_cache=FlakyCache(capacity=100, fail_first=1),
+        )
+        portal = CachePortal(site)
+        url = "/catalog?category=electronics&max_price=1000"
+        site.get(url)
+        db.execute("INSERT INTO product VALUES ('tablet', 'electronics', 450)")
+        portal.run_invalidation_cycle()
+        assert portal.invalidator.messages.delivery_failures == 1
+        assert portal.invalidator.registry.instances()  # still watched
+        portal.run_invalidation_cycle()  # the eject goes out again
+        db.execute("INSERT INTO product VALUES ('watch', 'electronics', 300)")
+        portal.run_invalidation_cycle()
+        body = site.get(url).body
+        assert "tablet" in body and "watch" in body

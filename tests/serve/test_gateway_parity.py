@@ -186,6 +186,32 @@ class TestFastPath:
         # The key is no longer pending: a later miss regenerates anew.
         assert not gateway._pending
 
+    def test_queue_depth_peak_is_the_lifetime_maximum(self):
+        """A later, shallower burst and a warm replay leave the peak at
+        the deepest queue the gateway has seen."""
+        site, _ = make_instrumented_site()
+        urls = [f"/catalog?max_price={20000 + i}" for i in range(3)]
+
+        async def drive():
+            gateway = AsyncGateway(site, workers=1)
+            await gateway.start()
+            for url in urls:
+                request = HttpRequest.from_url(url)
+                assert gateway.submit_miss(gateway.key_for(request), lambda r=request: r)
+            await gateway.join()
+            deep_peak = gateway.stats.queue_depth_peak
+            await gateway.get("/catalog?max_price=30000")  # a one-miss burst
+            for url in urls:  # a warm replay: all hits, nothing queues
+                await gateway.get(url)
+            await gateway.stop()
+            return gateway, deep_peak
+
+        gateway, deep_peak = asyncio.run(drive())
+        assert deep_peak == len(urls)
+        assert gateway.stats.misses == len(urls) + 1
+        assert gateway.stats.hits == len(urls)
+        assert gateway.stats.queue_depth_peak == deep_peak
+
     def test_concurrent_misses_pair_queries_to_their_own_request(self):
         """Tokens keep request↔query pairing exact under real concurrency.
 
