@@ -9,13 +9,15 @@ sweep measures, per candidate count:
 
 * database queries issued (the ≥5× reduction target at ≥10k candidates);
 * wall time to answer every candidate (the ≥3× speedup target);
-* answer equivalence — demultiplexed verdicts match the per-instance
-  oracle bit for bit.
+* answer equivalence — demultiplexed verdicts match the oracle, one
+  ``PollingQueryGenerator.poll`` per task, bit for bit.
 
 A fixed-size full-cycle stage then runs BOTH consumers (the synchronous
-invalidator and the streaming pipeline) in both arms and asserts
-byte-identical eject sets and counter parity — the bench fails loudly if
-batching ever changes an outcome, not just if it stops being fast.
+invalidator and the streaming pipeline) against the reference cycle of
+``tests/reference_cycle.py``, which polls each task on its own, and
+asserts byte-identical eject sets and counter parity — the bench fails
+loudly if batching ever changes an outcome, not just if it stops being
+fast.
 
 Scale knob: ``REPRO_BENCH_POLLBATCH_COUNTS`` (default ``1000,10000``) —
 the CI smoke job runs tiny counts.
@@ -23,15 +25,18 @@ the CI smoke job runs tiny counts.
 
 import os
 import time
+from collections import Counter
 
 from repro.db import Database
 from repro.sql.parser import parse_statement
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
 from repro.core.invalidator import Invalidator
+from repro.core.invalidator.polling import PollingQueryGenerator
 from repro.core.qiurl import QIURLMap
 
 from conftest import emit
+from reference_cycle import ReferenceInvalidator
 
 COUNTS = [
     int(token)
@@ -97,12 +102,9 @@ def run_batched(db, tasks):
 
 
 def run_per_instance(db, tasks):
-    invalidator = fresh_polling_stack(db)
-    answers = [
-        invalidator.infomgmt.poll_with_caching(invalidator.polling, query)
-        for _, query in tasks
-    ]
-    return answers, invalidator.polling.stats.issued
+    generator = PollingQueryGenerator(db)
+    answers = [generator.poll(query) for _, query in tasks]
+    return answers, generator.stats.issued
 
 
 def timed(fn, repeats):
@@ -199,55 +201,75 @@ def _pages(cache, qiurl, count):
         )
 
 
-def full_cycle_parity(pages=300):
-    """Both consumers, both arms: identical ejects, counter for counter."""
+#: One relation per wave: a stream batch carries one relation, so the
+#: stream's counters line up with one reference cycle per wave.
+WAVES = (
+    (
+        "INSERT INTO car VALUES ('Kia', 'fresh1', 14000)",
+        "INSERT INTO car VALUES ('Audi', 'fresh2', 41000)",
+    ),
+    ("INSERT INTO mileage VALUES ('fresh1', 33)",),
+)
 
-    def run_sync(batch_polling):
+
+def full_cycle_parity(pages=300):
+    """Both consumers against the reference cycle: identical ejects,
+    counter for counter."""
+
+    def build(make):
         db = make_db(rows=50)
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, [cache], qiurl, batch_polling=batch_polling)
+        consumer = make(db, cache, qiurl)
         _pages(cache, qiurl, pages)
-        db.execute("INSERT INTO car VALUES ('Kia', 'fresh1', 14000)")
-        db.execute("INSERT INTO mileage VALUES ('fresh1', 33)")
-        db.execute("INSERT INTO car VALUES ('Audi', 'fresh2', 41000)")
-        report = invalidator.run_cycle()
-        return sorted(cache.keys()), report
+        return db, cache, consumer
 
-    def run_stream(batch_polling):
+    def run(make, step):
+        db, cache, consumer = build(make)
+        totals = Counter()
+        for wave in WAVES:
+            for sql in wave:
+                db.execute(sql)
+            totals.update(step(consumer))
+        return sorted(cache.keys()), totals
+
+    counters = PARITY_COUNTERS + ("poll_round_trips_saved",)
+
+    def sync_step(invalidator):
+        report = invalidator.run_cycle()
+        return {c: getattr(report, c) for c in counters}
+
+    def stream_step(pipeline):
+        before = pipeline.stats()["workers"]
+        pipeline.process_available()
+        after = pipeline.stats()["workers"]
+        # urls_ejected is a sync-report-only counter.
+        return {c: after[c] - before[c] for c in counters if c in after}
+
+    def make_stream(db, cache, qiurl):
         from repro.stream import StreamingInvalidationPipeline
 
-        db = make_db(rows=50)
-        cache = WebCache()
-        qiurl = QIURLMap()
-        pipeline = StreamingInvalidationPipeline(
-            db, [cache], qiurl, num_shards=2, batch_polling=batch_polling
-        )
-        _pages(cache, qiurl, pages)
-        db.execute("INSERT INTO car VALUES ('Kia', 'fresh1', 14000)")
-        db.execute("INSERT INTO mileage VALUES ('fresh1', 33)")
-        db.execute("INSERT INTO car VALUES ('Audi', 'fresh2', 41000)")
-        pipeline.process_available()
-        return sorted(cache.keys()), pipeline.stats()["workers"]
+        return StreamingInvalidationPipeline(db, [cache], qiurl, num_shards=2)
 
-    sync_batched_keys, sync_batched = run_sync(True)
-    sync_control_keys, sync_control = run_sync(False)
-    assert sync_batched_keys == sync_control_keys
+    reference_keys, reference = run(
+        lambda db, cache, qiurl: ReferenceInvalidator(
+            Invalidator(db, [cache], qiurl)
+        ),
+        sync_step,
+    )
+    sync_keys, sync = run(
+        lambda db, cache, qiurl: Invalidator(db, [cache], qiurl), sync_step
+    )
+    stream_keys, stream = run(make_stream, stream_step)
+    assert sync_keys == stream_keys == reference_keys
     for counter in PARITY_COUNTERS:
-        assert getattr(sync_batched, counter) == getattr(
-            sync_control, counter
-        ), counter
-    stream_batched_keys, stream_batched = run_stream(True)
-    stream_control_keys, stream_control = run_stream(False)
-    assert stream_batched_keys == stream_control_keys
-    for counter in PARITY_COUNTERS:
-        if counter == "urls_ejected":  # sync-report-only counter
-            continue
-        assert stream_batched[counter] == stream_control[counter], counter
+        assert sync[counter] == reference[counter], counter
+        if counter != "urls_ejected":
+            assert stream[counter] == reference[counter], counter
     return {
         "pages": pages,
-        "sync_ejects": sync_batched.urls_ejected,
-        "sync_round_trips_saved": sync_batched.poll_round_trips_saved,
-        "stream_ejects": pages - len(stream_batched_keys),
-        "stream_round_trips_saved": stream_batched["poll_round_trips_saved"],
+        "sync_ejects": sync["urls_ejected"],
+        "sync_round_trips_saved": sync["poll_round_trips_saved"],
+        "stream_ejects": pages - len(stream_keys),
+        "stream_round_trips_saved": stream["poll_round_trips_saved"],
     }

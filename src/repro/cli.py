@@ -195,8 +195,6 @@ def _run_stream(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         polling_budget=args.polling_budget,
         batch_size=args.batch_size,
-        predicate_index=not args.scan,
-        batch_polling=not args.no_batch_polling,
         version_keys=not args.no_version_keys,
         conflict_matrix=not args.no_conflict_matrix,
     )
@@ -273,8 +271,7 @@ def _run_stream(args: argparse.Namespace) -> int:
 
 
 def _run_cycle(args: argparse.Namespace) -> int:
-    """Run synchronous invalidation cycles and print their reports —
-    the A/B entry point for set-oriented vs per-instance polling."""
+    """Run synchronous invalidation cycles and print their reports."""
     import dataclasses
     import json
 
@@ -284,7 +281,6 @@ def _run_cycle(args: argparse.Namespace) -> int:
     portal = CachePortal(
         site,
         polling_budget=args.polling_budget,
-        batch_polling=not args.no_batch_polling,
         version_keys=not args.no_version_keys,
         conflict_matrix=not args.no_conflict_matrix,
     )
@@ -305,15 +301,13 @@ def _run_cycle(args: argparse.Namespace) -> int:
     status = portal.status()
     if args.json:
         payload = {
-            "batch_polling": not args.no_batch_polling,
             "version_keys": not args.no_version_keys,
             "cycles": [dataclasses.asdict(report) for report in reports],
             "status": status,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        arm = "per-instance" if args.no_batch_polling else "set-oriented"
-        print(f"portal  : {args.cycles} cycle(s), {arm} polling")
+        print(f"portal  : {args.cycles} cycle(s)")
         for index, report in enumerate(reports, start=1):
             print(
                 f"cycle {index} : {report.records_processed} records, "
@@ -737,11 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="tailer batch bound (records)")
     p_stream.add_argument("--json", action="store_true",
                           help="emit the raw stats() snapshot as JSON")
-    p_stream.add_argument("--scan", action="store_true",
-                          help="disable the predicate index (full scan)")
-    p_stream.add_argument("--no-batch-polling", action="store_true",
-                          help="per-instance polling control arm (disable "
-                               "set-oriented delta-join batching)")
     p_stream.add_argument("--no-version-keys", action="store_true",
                           help="disable the version-key O(1) fast path "
                                "(A/B control arm; ejects are identical)")
@@ -762,9 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="invalidation cycles to run (default 2)")
     p_cycle.add_argument("--polling-budget", type=int, default=None,
                          help="max polling round trips per cycle")
-    p_cycle.add_argument("--no-batch-polling", action="store_true",
-                         help="per-instance polling control arm (disable "
-                              "set-oriented delta-join batching)")
     p_cycle.add_argument("--no-version-keys", action="store_true",
                          help="disable the version-key O(1) fast path "
                               "(A/B control arm; ejects are identical)")

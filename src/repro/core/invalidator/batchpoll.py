@@ -27,17 +27,15 @@ appears in the DISTINCT semi-join output exactly when a joined row
 exists for its constants — including NULL bindings, which fail
 comparisons identically inline or via the probe column.
 
-Demultiplexing threads each id's yes/no verdict back through the same
-per-instance bookkeeping the sequential path maintains: the cross-cycle
-polling-result cache is consulted first and updated per member, and the
-per-cycle coalescing memo (keyed by canonical ``polling_key``) absorbs
-duplicate members, so PR 3/4 semantics (result caching, POLL_ONLY
-fingerprints) observe per-instance results either way.
+Demultiplexing threads each id's yes/no verdict back through
+per-instance bookkeeping: the cross-cycle polling-result cache is
+consulted first and updated per member, and the per-cycle coalescing
+memo (keyed by canonical ``polling_key``) absorbs duplicate members, so
+result caching and POLL_ONLY fingerprints observe per-instance results.
 
 Queries the compiler cannot express set-orientedly — subquery residuals
-(probe references inside them would be correlated), non-``COUNT(*)``
-shapes, or any polling while a middle-tier data cache is the target —
-fall back to the per-instance oracle, one task at a time.
+(probe references inside them would be correlated) or non-``COUNT(*)``
+shapes — are polled one task at a time.
 """
 
 from __future__ import annotations
@@ -188,11 +186,10 @@ class PollOutcome:
     """One task's demultiplexed polling answer.
 
     ``work_units`` is the task's share of measured database work (an even
-    split of its batch's cost), which feeds the same per-type EMA cost
-    estimate the per-instance path maintains.  ``source`` records how the
-    answer was obtained: ``cache`` (cross-cycle result cache),
-    ``coalesced`` (another task this cycle), ``batched``, or ``fallback``
-    (per-instance oracle).
+    split of its batch's cost), which feeds the per-type EMA cost
+    estimate.  ``source`` records how the answer was obtained: ``cache``
+    (cross-cycle result cache), ``coalesced`` (another task this cycle),
+    ``batched``, or ``fallback`` (a query polled on its own).
     """
 
     impacted: bool
@@ -236,9 +233,9 @@ class BatchPollExecutor:
     ) -> Dict[Hashable, PollOutcome]:
         """Answer every (key, polling query) task; returns key → outcome.
 
-        Per-task order of authority matches ``poll_with_caching`` exactly:
-        cross-cycle result cache, then this cycle's coalescing memo, then
-        the database — batched when possible, per instance otherwise.
+        Per-task order of authority: cross-cycle result cache, then this
+        cycle's coalescing memo, then the database — batched when
+        possible, per instance otherwise.
         """
         outcomes: Dict[Hashable, PollOutcome] = {}
         groups: "Dict[str, _Group]" = {}
@@ -264,11 +261,7 @@ class BatchPollExecutor:
                 result_cache.put(sql, query, memoized)
                 outcomes[key] = PollOutcome(memoized, 0.0, "coalesced")
                 continue
-            signature = (
-                batch_key(query, parameterized)
-                if self.infomgmt.data_cache is None
-                else None
-            )
+            signature = batch_key(query, parameterized)
             if signature is None:
                 outcomes[key] = self._poll_single(query, sql)
                 continue
@@ -298,16 +291,11 @@ class BatchPollExecutor:
         return outcomes
 
     def _poll_single(self, query: ast.Select, sql: str) -> PollOutcome:
-        """Per-instance oracle: ``poll_with_caching`` minus the cache read
-        (already performed by the caller's loop)."""
+        """One query ``batch_key`` cannot fold, polled on its own (the
+        caller's loop already consulted the result cache)."""
         generator = self.generator
         before = generator.stats.total_work_units
-        if self.infomgmt.data_cache is not None:
-            result = self.infomgmt.data_cache.execute(sql)
-            impacted = bool(result.rows) and bool(result.rows[0][0])
-            generator.stats.issued += 1
-        else:
-            impacted = generator.poll(query)
+        impacted = generator.poll(query)
         self.infomgmt.result_cache.put(sql, query, impacted)
         work = generator.stats.total_work_units - before
         return PollOutcome(impacted, float(work), "fallback")

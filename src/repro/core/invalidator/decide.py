@@ -11,11 +11,11 @@ set is identical whichever consumer produced it:
 
 * :func:`build_tiers` assembles the query registry and every tier over
   it — safety verdicts, static conflict matrix, predicate index, version
-  keys — with the A/B toggles wired in one place;
+  keys;
 * :class:`Tiers` also owns the update-loss valve, the poll-deadline
   resolver and the registry walk behind the safety counters;
 * :class:`Lane` holds one consumer thread's private tools (scheduler,
-  polling generator, batch poller, checkers) and runs the decision
+  polling generator, batch poller, checker) and runs the decision
   cascade (:meth:`Lane.decide`) and the poll phase (:meth:`Lane.poll`).
 
 Counters go into a caller-owned ``counts`` mapping whose names are the
@@ -32,14 +32,15 @@ from typing import Callable, Counter, Dict, List, Optional, Sequence, Tuple
 
 from repro.db.engine import Database
 from repro.db.log import UpdateRecord
-from repro.errors import ReproError
+from repro.errors import ReproError, RoutingError
 from repro.core.qiurl import QIURLMap
-from repro.core.invalidator.analysis import IndependenceChecker, Verdict, VerdictKind
+from repro.core.invalidator.analysis import Verdict, VerdictKind
 from repro.core.invalidator.batchpoll import BatchPollExecutor, batch_key
 from repro.core.invalidator.conflict import ConflictMatrix
 from repro.core.invalidator.grouping import GroupedChecker
 from repro.core.invalidator.infomgmt import InformationManager
 from repro.core.invalidator.policies import InvalidationPolicy, PolicyEngine
+from repro.core.invalidator.polling import PollingQueryGenerator
 from repro.core.invalidator.predindex import PredicateIndex
 from repro.core.invalidator.registration import (
     QueryInstance,
@@ -68,11 +69,9 @@ class Tiers:
     infomgmt: InformationManager
     safety: SafetyEnforcer
     conflict_matrix: Optional[ConflictMatrix]
-    pred_index: Optional[PredicateIndex]
+    pred_index: PredicateIndex
     version_index: Optional[VersionKeyIndex]
     polling_budget: Optional[int]
-    grouped_analysis: bool
-    batch_polling: bool
     #: Resolver: servlet name → temporal sensitivity in ms (§3.1).
     servlet_deadline: Optional[Callable[[str], float]]
 
@@ -84,7 +83,7 @@ class Tiers:
             for servlet in instance.servlets:
                 try:
                     deadline = min(deadline, self.servlet_deadline(servlet))
-                except Exception:
+                except RoutingError:
                     continue  # unknown servlet: keep the type default
         return deadline
 
@@ -138,10 +137,6 @@ def build_tiers(
     *,
     policy: Optional[InvalidationPolicy],
     polling_budget: Optional[int],
-    use_data_cache: bool,
-    grouped_analysis: bool,
-    predicate_index: bool,
-    batch_polling: bool,
     safety_enforcement: bool,
     version_keys: bool,
     conflict_matrix: bool,
@@ -174,11 +169,7 @@ def build_tiers(
         if conflict_matrix
         else None
     )
-    index = (
-        PredicateIndex(analysis_for, conflict=matrix).attach_to(registry)
-        if predicate_index
-        else None
-    )
+    index = PredicateIndex(analysis_for, conflict=matrix).attach_to(registry)
     versions = (
         VersionKeyIndex(analysis_for, stamp_source=stamp_source).attach_to(registry)
         if version_keys
@@ -190,16 +181,12 @@ def build_tiers(
         registry=registry,
         registration=RegistrationModule(registry),
         policy_engine=policy_engine,
-        infomgmt=InformationManager(
-            database, policy_engine, use_data_cache=use_data_cache
-        ),
+        infomgmt=InformationManager(database, policy_engine),
         safety=safety,
         conflict_matrix=matrix,
         pred_index=index,
         version_index=versions,
         polling_budget=polling_budget,
-        grouped_analysis=grouped_analysis,
-        batch_polling=batch_polling,
         servlet_deadline=servlet_deadline,
     )
 
@@ -230,9 +217,8 @@ class Lane:
         self.registry_lock = registry_lock or nullcontext()
         self.db_lock = db_lock or nullcontext()
         self.scheduler = InvalidationScheduler(polling_budget=tiers.polling_budget)
-        self.checker = IndependenceChecker()
         self.grouped_checker = GroupedChecker()
-        self.polling = tiers.infomgmt.polling_generator()
+        self.polling = PollingQueryGenerator(tiers.database)
         self.batch_poller = BatchPollExecutor(tiers.infomgmt, self.polling)
 
     def decide(
@@ -270,41 +256,34 @@ class Lane:
             record_columns = [set(record.columns) for record in records]
         static_ids: "set[int]" = set()
         version_keyed: List[QueryInstance] = []
-        probe_ms = 0.0
         with self.registry_lock:
-            if index is not None:
-                if matrix is not None:
-                    static_ids = set(index.statically_dropped_ids(table))
-                probe_start = time.perf_counter()
-                probes = [index.probe(table, record) for record in records]
-                probe_ms = 1000.0 * (time.perf_counter() - probe_start)
-                # Snapshot the per-type live counts: other shards may drop
-                # instances while this batch is in flight, just as the
-                # scan path snapshots its instance list.
-                type_totals = {
-                    type_id: (query_type, count)
-                    for type_id, (query_type, count) in index.table_type_counts(
-                        table
-                    ).items()
-                }
-                # Version-keyed instances bypass the bulk probe skip:
-                # their counter check — not the per-record probe — is
-                # this tier's primary resolver, so every pair must
-                # materialize and reach the cascade below.
-                if versions is not None and enforcer is not None:
-                    version_keyed = [
-                        instance
-                        for instance in tiers.registry.instances_touching(table)
-                        if instance.query_type.safety is not None
-                        and instance.query_type.safety.verdict
-                        is SafetyVerdict.VERSION_KEY
-                    ]
-            else:
-                probes = None
-                instances = tiers.registry.instances_touching(table)
+            if matrix is not None:
+                static_ids = set(index.statically_dropped_ids(table))
+            probe_start = time.perf_counter()
+            probes = [index.probe(table, record) for record in records]
+            probe_ms = 1000.0 * (time.perf_counter() - probe_start)
+            # Snapshot the per-type live counts: other shards may drop
+            # instances while this batch is in flight.
+            type_totals = {
+                type_id: (query_type, count)
+                for type_id, (query_type, count) in index.table_type_counts(
+                    table
+                ).items()
+            }
+            # Version-keyed instances bypass the bulk probe skip: their
+            # counter check — not the per-record probe — is this tier's
+            # primary resolver, so every pair must materialize and reach
+            # the cascade below.
+            if versions is not None and enforcer is not None:
+                version_keyed = [
+                    instance
+                    for instance in tiers.registry.instances_touching(table)
+                    if instance.query_type.safety is not None
+                    and instance.query_type.safety.verdict
+                    is SafetyVerdict.VERSION_KEY
+                ]
 
         check_instance = self.grouped_checker.check_instance
-        grouped = tiers.grouped_analysis
         tasks: List[PollTask] = []
         pairs = unaffected = affected = pruned = 0
         fallback_ejects = poll_only_checks = 0
@@ -315,58 +294,54 @@ class Lane:
         updates_seen_by_type: "dict[int, list]" = {}
 
         for position, record in enumerate(records):
-            if probes is None:
-                row_instances = instances
-            else:
-                probe = probes[position]
-                row_instances = list(probe.candidates)
-                # Version-keyed instances the probe excluded still
-                # materialize (their counter decides); doomed ones stay
-                # with the bulk accounting below, like the scan path.
-                row_instances.extend(
-                    instance
-                    for instance in version_keyed
-                    if instance.instance_id not in probe.candidate_ids
-                    and instance.instance_id not in doomed
-                )
-                # Everything the probe left out is provably UNAFFECTED for
-                # this record: account those pairs in bulk per query type
-                # (minus instances already doomed, which the scan path
-                # skips uncounted).
-                candidates_by_type: "dict[int, int]" = {}
-                for instance in row_instances:
+            probe = probes[position]
+            row_instances = list(probe.candidates)
+            # Version-keyed instances the probe excluded still materialize
+            # (their counter decides); doomed ones stay with the bulk
+            # accounting below.
+            row_instances.extend(
+                instance
+                for instance in version_keyed
+                if instance.instance_id not in probe.candidate_ids
+                and instance.instance_id not in doomed
+            )
+            # Everything the probe left out is provably UNAFFECTED for this
+            # record: account those pairs in bulk per query type (minus
+            # instances already doomed, which are skipped uncounted).
+            candidates_by_type: "dict[int, int]" = {}
+            for instance in row_instances:
+                type_id = instance.query_type.type_id
+                candidates_by_type[type_id] = candidates_by_type.get(type_id, 0) + 1
+            doomed_by_type: "dict[int, int]" = {}
+            for instance_id, instance in doomed.items():
+                if instance_id not in probe.candidate_ids:
                     type_id = instance.query_type.type_id
-                    candidates_by_type[type_id] = candidates_by_type.get(type_id, 0) + 1
-                doomed_by_type: "dict[int, int]" = {}
-                for instance_id, instance in doomed.items():
-                    if instance_id not in probe.candidate_ids:
-                        type_id = instance.query_type.type_id
-                        doomed_by_type[type_id] = doomed_by_type.get(type_id, 0) + 1
-                for type_id, (query_type, live) in type_totals.items():
-                    skipped = (
-                        live
-                        - candidates_by_type.get(type_id, 0)
-                        - doomed_by_type.get(type_id, 0)
-                    )
-                    if skipped <= 0:
-                        continue
-                    pairs += skipped
-                    unaffected += skipped
-                    pruned += skipped
-                    tally = updates_seen_by_type.setdefault(type_id, [query_type, 0])
-                    tally[1] += skipped
-                # Statically dropped instances live only in the index's
-                # per-type totals, so the bulk loop above already counted
-                # them as pruned+unaffected; attribute them to the static
-                # matrix too (version-keyed ones materialize instead and
-                # hit the cascade's static branch below).
-                if static_ids:
-                    static_skips += sum(
-                        1
-                        for instance_id in static_ids
-                        if instance_id not in version_keyed_ids
-                        and instance_id not in doomed
-                    )
+                    doomed_by_type[type_id] = doomed_by_type.get(type_id, 0) + 1
+            for type_id, (query_type, live) in type_totals.items():
+                skipped = (
+                    live
+                    - candidates_by_type.get(type_id, 0)
+                    - doomed_by_type.get(type_id, 0)
+                )
+                if skipped <= 0:
+                    continue
+                pairs += skipped
+                unaffected += skipped
+                pruned += skipped
+                tally = updates_seen_by_type.setdefault(type_id, [query_type, 0])
+                tally[1] += skipped
+            # Statically dropped instances live only in the index's per-type
+            # totals, so the bulk loop above already counted them as
+            # pruned+unaffected; attribute them to the static matrix too
+            # (version-keyed ones materialize instead and hit the cascade's
+            # static branch below).
+            if static_ids:
+                static_skips += sum(
+                    1
+                    for instance_id in static_ids
+                    if instance_id not in version_keyed_ids
+                    and instance_id not in doomed
+                )
             for instance in row_instances:
                 if instance.instance_id in doomed:
                     continue
@@ -425,7 +400,7 @@ class Lane:
                         polls_avoided += 1
                         unaffected += 1
                         continue
-                if probes is not None and instance.instance_id not in probe.candidate_ids:
+                if instance.instance_id not in probe.candidate_ids:
                     # A version-keyed pair the counter could not vouch for,
                     # but the probe proved UNAFFECTED — the checker's
                     # verdict, no invocation.  (Only version-keyed extras
@@ -434,10 +409,7 @@ class Lane:
                     pruned += 1
                     unaffected += 1
                     continue
-                if grouped:
-                    verdict = check_instance(instance, record)
-                else:
-                    verdict = self.checker.check(instance.statement, record)
+                verdict = check_instance(instance, record)
                 if verdict.kind is VerdictKind.UNAFFECTED:
                     unaffected += 1
                     continue
@@ -453,7 +425,7 @@ class Lane:
             unaffected=unaffected,
             affected=affected,
             pairs_pruned=pruned,
-            index_probes=len(records) if probes is not None else 0,
+            index_probes=len(records),
             probe_time_ms=probe_ms,
             fallback_ejects=fallback_ejects,
             poll_only_checks=poll_only_checks,
@@ -475,61 +447,46 @@ class Lane:
         counts: Counter,
     ) -> None:
         """Budgeted polling (§4.2.2): one scheduler cycle over the tasks
-        whose instance is still live, then batched or per-instance polls,
-        then over-invalidation of what the budget could not afford."""
+        whose instance is still live, then the batched polls, then
+        over-invalidation of what the budget could not afford."""
         live = [task for task in tasks if task[0].instance_id not in doomed]
         if not live:
             return
-        tiers = self.tiers
         candidates = [
             PollCandidate(
                 key=key,
                 priority=instance.query_type.priority,
                 cost=instance.query_type.cost,
                 urls_at_stake=len(instance.urls),
-                deadline_ms=tiers.deadline_for(instance),
-                batch_key=(
-                    batch_key(verdict.polling_query) if tiers.batch_polling else None
-                ),
+                deadline_ms=self.tiers.deadline_for(instance),
+                batch_key=batch_key(verdict.polling_query),
             )
             for key, (instance, verdict) in enumerate(live)
         ]
         schedule = self.scheduler.schedule(candidates)
-        polling = self.polling
-        stats = polling.stats
+        stats = self.polling.stats
         batched_before = (
             stats.batched_queries, stats.batched_instances, stats.demux_misses
         )
-        polling.begin_cycle()
-        outcomes = None
-        if tiers.batch_polling:
-            # Set-oriented arm: one delta-join per polling-query type.  The
-            # apply loop below is shared with the per-instance arm, so eject
-            # sets and counters line up between arms.
-            pending = [
-                (candidate.key, live[candidate.key][1].polling_query)
-                for candidate in schedule.to_poll
-                if live[candidate.key][0].instance_id not in doomed
-            ]
-            with self.db_lock:
-                outcomes = self.batch_poller.execute(pending)
+        self.polling.begin_cycle()
+        # Set-oriented: one delta-join per polling-query type; a query
+        # batch_key cannot fold is polled on its own.
+        pending = [
+            (candidate.key, live[candidate.key][1].polling_query)
+            for candidate in schedule.to_poll
+            if live[candidate.key][0].instance_id not in doomed
+        ]
+        with self.db_lock:
+            outcomes = self.batch_poller.execute(pending)
         executed = impacted_polls = over_invalidated = 0
         for candidate in schedule.to_poll:
-            instance, verdict = live[candidate.key]
+            instance = live[candidate.key][0]
             if instance.instance_id in doomed:
                 continue
-            if outcomes is not None:
-                outcome = outcomes.get(candidate.key)
-                if outcome is None:  # pragma: no cover - defensive
-                    continue
-                impacted, work = outcome.impacted, outcome.work_units
-            else:
-                with self.db_lock:
-                    work_before = stats.total_work_units
-                    impacted = tiers.infomgmt.poll_with_caching(
-                        polling, verdict.polling_query
-                    )
-                    work = stats.total_work_units - work_before
+            outcome = outcomes.get(candidate.key)
+            if outcome is None:  # pragma: no cover - defensive
+                continue
+            impacted, work = outcome.impacted, outcome.work_units
             executed += 1
             with self.registry_lock:
                 query_type = instance.query_type

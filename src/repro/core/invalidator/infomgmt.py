@@ -3,36 +3,25 @@
 Maintains the four kinds of information the paper enumerates:
 
 * **polling queries** — the per-cycle dedup lives in the polling
-  generator; this module decides *where* polls are directed (origin DBMS
-  vs. the invalidator's own data cache) and keeps cross-cycle state;
+  generator, and every poll goes to the origin DBMS;
 * **polling query results** — a result cache refreshed by a daemon hook
   wired to the update log, so repeated polls for hot tuples are free;
 * **invalidation policies** — owned by the policy engine, referenced here;
-* **statistics** — per query type (in the registry) and per servlet.
+* **statistics** — per query type, kept in the registry.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from repro.sql import ast
 from repro.sql.analysis import referenced_tables
-from repro.sql.printer import to_sql
 from repro.db.engine import Database
-from repro.web.datacache import DataCache
 from repro.core.invalidator.policies import PolicyEngine
-from repro.core.invalidator.polling import PollingQueryGenerator
 
-
-@dataclass
-class ServletStats:
-    """Per-servlet statistics kept for tuning (§3.1 item 4)."""
-
-    pages_generated: int = 0
-    pages_invalidated: int = 0
-    queries_mapped: int = 0
+#: Entries the cross-cycle polling-result cache holds before LRU eviction.
+RESULT_CACHE_CAPACITY = 10000
 
 
 class PollingResultCache:
@@ -44,7 +33,7 @@ class PollingResultCache:
     tables, the daemon only needs the per-cycle delta table names.
     """
 
-    def __init__(self, capacity: int = 10000) -> None:
+    def __init__(self, capacity: int = RESULT_CACHE_CAPACITY) -> None:
         self.capacity = capacity
         self._results: "OrderedDict[str, bool]" = OrderedDict()
         self._tables: Dict[str, Set[str]] = {}
@@ -97,65 +86,18 @@ class PollingResultCache:
 
 
 class InformationManager:
-    """Auxiliary structures and statistics for the invalidation module.
+    """Auxiliary structures for the invalidation module.
 
     Args:
         database: the origin DBMS.
         policy_engine: shared policy store.
-        use_data_cache: when True, polling queries go to a middle-tier
-            data cache maintained by the invalidator instead of the
-            origin DBMS (§2.4), trading memory for DBMS load.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        policy_engine: PolicyEngine,
-        use_data_cache: bool = False,
-        result_cache_capacity: int = 10000,
-    ) -> None:
+    def __init__(self, database: Database, policy_engine: PolicyEngine) -> None:
         self.database = database
         self.policy_engine = policy_engine
-        self.data_cache: Optional[DataCache] = (
-            DataCache(database) if use_data_cache else None
-        )
-        self.result_cache = PollingResultCache(capacity=result_cache_capacity)
-        self.servlet_stats: Dict[str, ServletStats] = {}
-
-    def polling_generator(self) -> PollingQueryGenerator:
-        """Build the generator pointed at the right polling target."""
-        # The DataCache shares the origin database object; routing through
-        # it still avoids origin work for repeated identical polls because
-        # results are served from the cache's result store.
-        return PollingQueryGenerator(self.database)
-
-    def poll_with_caching(
-        self, generator: PollingQueryGenerator, query: ast.Select
-    ) -> bool:
-        """Answer a polling query via the result cache when possible."""
-        sql = to_sql(query)
-        cached = self.result_cache.get(sql)
-        if cached is not None:
-            generator.stats.cache_hits += 1
-            return cached
-        if self.data_cache is not None:
-            result = self.data_cache.execute(sql)
-            impacted = bool(result.rows) and bool(result.rows[0][0])
-            generator.stats.issued += 1
-        else:
-            impacted = generator.poll(query)
-        self.result_cache.put(sql, query, impacted)
-        return impacted
+        self.result_cache = PollingResultCache()
 
     def on_cycle_deltas(self, changed_tables: Set[str]) -> None:
         """Daemon hook: refresh caches after a pull of the update log."""
         self.result_cache.invalidate_tables(changed_tables)
-        if self.data_cache is not None:
-            self.data_cache.synchronize()
-
-    def servlet(self, name: str) -> ServletStats:
-        stats = self.servlet_stats.get(name)
-        if stats is None:
-            stats = ServletStats()
-            self.servlet_stats[name] = stats
-        return stats

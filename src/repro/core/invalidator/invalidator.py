@@ -92,12 +92,6 @@ class InvalidationReport:
         return max(0, self.batched_instances - self.batched_queries)
 
     @property
-    def precision_saved(self) -> int:
-        """Pairs resolved without touching the cache: pure wins of the
-        independence check."""
-        return self.unaffected
-
-    @property
     def checker_invocations(self) -> int:
         """Pairs that actually reached the independence checker."""
         return self.pairs_checked - self.pairs_pruned
@@ -113,10 +107,6 @@ class Invalidator:
         qiurl_map: QIURLMap,
         policy: Optional[InvalidationPolicy] = None,
         polling_budget: Optional[int] = None,
-        use_data_cache: bool = False,
-        grouped_analysis: bool = True,
-        predicate_index: bool = True,
-        batch_polling: bool = True,
         servlet_deadline: Optional[Callable[[str], float]] = None,
         safety_enforcement: bool = True,
         version_keys: bool = True,
@@ -131,10 +121,6 @@ class Invalidator:
             stamp_source=lambda: self.updates.cursor,
             policy=policy,
             polling_budget=polling_budget,
-            use_data_cache=use_data_cache,
-            grouped_analysis=grouped_analysis,
-            predicate_index=predicate_index,
-            batch_polling=batch_polling,
             safety_enforcement=safety_enforcement,
             version_keys=version_keys,
             conflict_matrix=conflict_matrix,

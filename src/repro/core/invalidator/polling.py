@@ -17,7 +17,7 @@ Two optimizations from the paper are implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.sql import ast
@@ -43,13 +43,7 @@ class PollingStats:
 
 
 class PollingQueryGenerator:
-    """Executes polling queries against a target database.
-
-    The target may be the origin DBMS or the invalidator's own data cache
-    (§2.4: "polling queries can either be directed to the original
-    database or ... to a middle-tier data cache maintained by the
-    invalidator").
-    """
+    """Executes polling queries against the origin database."""
 
     def __init__(self, database: Database) -> None:
         self.database = database
@@ -60,25 +54,17 @@ class PollingQueryGenerator:
         """Reset per-cycle coalescing state."""
         self._cycle_results = {}
 
-    def cycle_result(self, query: ast.Select) -> Optional[bool]:
-        """This cycle's memoized outcome for an equivalent query, if any."""
-        return self._cycle_results.get(polling_key(query))
-
     def cycle_result_keyed(self, key: Tuple[str, Tuple]) -> Optional[bool]:
-        """Like :meth:`cycle_result` for a precomputed ``polling_key`` —
-        lets bulk callers (the batch poller) parameterize each query once
-        instead of once per lookup."""
+        """This cycle's memoized outcome for a precomputed ``polling_key``,
+        if any — lets bulk callers (the batch poller) parameterize each
+        query once instead of once per lookup."""
         return self._cycle_results.get(key)
-
-    def record_cycle_result(self, query: ast.Select, impacted: bool) -> None:
-        """Memoize an outcome obtained elsewhere (e.g. a batched poll) so
-        later per-instance polls of an equivalent query coalesce onto it."""
-        self._cycle_results[polling_key(query)] = impacted
 
     def record_cycle_result_keyed(
         self, key: Tuple[str, Tuple], impacted: bool
     ) -> None:
-        """Keyed variant of :meth:`record_cycle_result`."""
+        """Memoize an outcome obtained elsewhere (a batched poll) so later
+        polls of an equivalent query coalesce onto it."""
         self._cycle_results[key] = impacted
 
     def poll(self, query: ast.Select) -> bool:

@@ -48,8 +48,6 @@ class CachePortal:
             ``None`` means unbounded (best invalidation quality).
         max_staleness_ms: staleness bound the deployment guarantees;
             servlets with tighter temporal sensitivity stay uncacheable.
-        use_data_cache: direct polling queries to an invalidator-side
-            data cache instead of the origin DBMS (§2.4).
         clock: shared time source for logs; defaults to a logical counter.
     """
 
@@ -59,8 +57,6 @@ class CachePortal:
         policy: Optional[InvalidationPolicy] = None,
         polling_budget: Optional[int] = None,
         max_staleness_ms: float = 1000.0,
-        use_data_cache: bool = False,
-        batch_polling: bool = True,
         safety_enforcement: bool = True,
         version_keys: bool = True,
         conflict_matrix: bool = True,
@@ -91,8 +87,6 @@ class CachePortal:
             qiurl_map=self.sniffer.qiurl_map,
             policy=policy,
             polling_budget=polling_budget,
-            use_data_cache=use_data_cache,
-            batch_polling=batch_polling,
             servlet_deadline=self._servlet_deadline,
             safety_enforcement=safety_enforcement,
             version_keys=version_keys,
@@ -211,7 +205,6 @@ class CachePortal:
                 "polls_issued": invalidator.polling.stats.issued,
                 "polls_coalesced": invalidator.polling.stats.coalesced,
                 "poll_cache_hits": invalidator.polling.stats.cache_hits,
-                "batch_polling": invalidator.tiers.batch_polling,
                 "batched_queries": invalidator.polling.stats.batched_queries,
                 "batched_instances": invalidator.polling.stats.batched_instances,
                 "demux_misses": invalidator.polling.stats.demux_misses,

@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import CachePortalError
+from repro.core.invalidator.invalidator import InvalidationReport
 
 FORMAT_VERSION = 1
 
@@ -181,6 +182,7 @@ def snapshot_portal(portal) -> Dict:
         "registry": portal.invalidator.registry.snapshot_state(),
         "cursor_lsn": portal.invalidator.updates.cursor,
         "bus": None,
+        "undelivered": list(portal.invalidator.undelivered),
         "version_keys": index.snapshot_state() if index is not None else None,
         "conflict_matrix": (
             matrix.snapshot_state() if matrix is not None else None
@@ -213,10 +215,15 @@ def restore_portal(
     Restores the QI/URL map and registry (replaying registrations so any
     attached predicate index rebuilds itself), seeks the update cursor to
     the checkpointed LSN, fires the flush-all valve when the log has
-    truncated past it, and ejects orphaned cached pages.
+    truncated past it, and ejects orphaned cached pages.  Ejects some cache
+    had missed at checkpoint time go out again with the next cycle.
     """
     report = RecoveryReport()
     invalidator = portal.invalidator
+    # Checkpoints written before the retry set was recorded lack the key.
+    for url in payload.get("undelivered", ()):
+        invalidator.undelivered.setdefault(url)
+    report.ejects_republished = len(invalidator.undelivered)
     report.map_rows_restored = portal.qiurl_map.restore_state(payload["qiurl"])
     matrix = invalidator.conflict_matrix
     conflict_state = payload.get("conflict_matrix")
@@ -247,7 +254,9 @@ def restore_portal(
         report.lost_range = (cursor + 1, max(log.last_lsn, log.oldest_lsn - 1))
         invalidator.updates.skip_to_head()
         flushed = invalidator.tiers.flush_all(invalidator.updates.cursor)
-        invalidator.messages.invalidate(flushed)
+        # Through the invalidator, so a flush eject some cache misses
+        # joins the retry set instead of being lost.
+        invalidator._eject(flushed, InvalidationReport())
         report.flushed_urls = len(flushed)
     else:
         invalidator.updates.seek(cursor)

@@ -82,10 +82,6 @@ class StreamingInvalidationPipeline:
         batch_size: int = 256,
         start_lsn: Optional[int] = None,
         queue_capacity: int = 64,
-        use_data_cache: bool = False,
-        grouped_analysis: bool = True,
-        predicate_index: bool = True,
-        batch_polling: bool = True,
         safety_enforcement: bool = True,
         version_keys: bool = True,
         conflict_matrix: bool = True,
@@ -109,10 +105,6 @@ class StreamingInvalidationPipeline:
             stamp_source=lambda: self.tailer.cursor,
             policy=policy,
             polling_budget=polling_budget,
-            use_data_cache=use_data_cache,
-            grouped_analysis=grouped_analysis,
-            predicate_index=predicate_index,
-            batch_polling=batch_polling,
             safety_enforcement=safety_enforcement,
             version_keys=version_keys,
             conflict_matrix=conflict_matrix,
@@ -385,8 +377,7 @@ class StreamingInvalidationPipeline:
             snapshot["registry"] = dict(
                 self.registry.stats(), map_rows=len(self.qiurl_map)
             )
-            if self.pred_index is not None:
-                snapshot["predicate_index"] = self.pred_index.stats()
+            snapshot["predicate_index"] = self.pred_index.stats()
             # Safety observability: derived from the live registry, so it
             # is computed here rather than accumulated in the metrics.
             snapshot["workers"].update(self.tiers.registry_counts())

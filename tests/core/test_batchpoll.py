@@ -1,9 +1,9 @@
 """Set-oriented polling tests (batching may-affect checks, §4.2.2 scaled).
 
 The load-bearing property mirrors the predicate index's: batching changes
-*round trips*, never *verdicts*.  A cycle run with ``batch_polling`` must
-eject exactly the pages the per-instance control arm ejects, counter for
-counter, while issuing far fewer database queries.  On top of that
+*round trips*, never *verdicts*.  A batched cycle must eject exactly the
+pages a reference cycle that polls each task on its own ejects, counter
+for counter, while issuing far fewer database queries.  On top of that
 equivalence sit unit tests for the group key (which shapes are batchable),
 the VALUES-probe compiler, the demultiplexing executor, and the
 scheduler's amortized budget accounting.
@@ -35,6 +35,7 @@ from repro.core.invalidator.scheduler import (
 from repro.core.qiurl import QIURLMap
 
 from helpers import make_car_db
+from reference_cycle import ReferenceInvalidator
 
 #: A type the safety lint classifies POLL_ONLY (uncorrelated subquery):
 #: its instances go through the fingerprint protocol, never the batch.
@@ -279,19 +280,19 @@ class TestSchedulerAmortization:
 
 
 class TestCycleEquivalence:
-    """Batched cycles eject exactly what per-instance cycles eject."""
+    """Batched cycles eject exactly what the reference cycle, one
+    ``generator.poll`` per task, ejects."""
 
     def _page(self, cache, qiurl, url, sql, servlet="s"):
         cache.put(url, cacheable())
         qiurl.add(sql, url, servlet)
 
-    def _run_cycles(self, batch_polling, thresholds, epas, inserts, poll_only):
+    def _run_cycles(self, batched, thresholds, epas, inserts, poll_only):
         db = make_car_db()
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(
-            db, [cache], qiurl, batch_polling=batch_polling
-        )
+        invalidator = Invalidator(db, [cache], qiurl)
+        consumer = invalidator if batched else ReferenceInvalidator(invalidator)
         for i, threshold in enumerate(thresholds):
             self._page(
                 cache,
@@ -313,8 +314,8 @@ class TestCycleEquivalence:
                     db.execute(
                         f"INSERT INTO mileage VALUES ('M{cycle}_{i}', {epa})"
                     )
-            reports.append(invalidator.run_cycle())
-        return sorted(cache.keys()), reports, invalidator.polling.stats
+            reports.append(consumer.run_cycle())
+        return sorted(cache.keys()), reports, consumer.polling.stats
 
     PARITY_COUNTERS = (
         "records_processed",
@@ -362,10 +363,8 @@ class TestCycleEquivalence:
                 assert getattr(batched, counter) == getattr(
                     control, counter
                 ), counter
-            # The control arm never batches; the batched arm reports any
-            # delta-join work it did and saves what it folded away.
-            assert control.batched_queries == 0
-            assert control.batched_instances == 0
+            # The batched cycle reports any delta-join work it did and
+            # saves what it folded away.
             assert batched.demux_misses == 0
             assert batched.poll_round_trips_saved == max(
                 0, batched.batched_instances - batched.batched_queries
@@ -404,29 +403,30 @@ class TestCycleEquivalence:
 
 
 class TestStreamingParity:
-    """Streaming shard workers agree with their per-instance control arm
-    (mirror of the predicate index's pipeline-parity test)."""
+    """Streaming shard workers agree with the reference cycle (mirror of
+    the predicate index's pipeline-parity test)."""
 
-    def _run(self, batch_polling):
+    def _run(self, batched):
         from repro.stream import StreamingInvalidationPipeline
 
         db = make_car_db()
         cache = WebCache()
         qiurl = QIURLMap()
-        pipeline = StreamingInvalidationPipeline(
-            db,
-            [cache],
-            qiurl,
-            num_shards=2,
-            batch_polling=batch_polling,
-        )
+        if batched:
+            consumer = StreamingInvalidationPipeline(
+                db, [cache], qiurl, num_shards=2
+            )
+        else:
+            consumer = ReferenceInvalidator(Invalidator(db, [cache], qiurl))
         for i, epa in enumerate((0, 10, 20, 30, 40, 50)):
             cache.put(f"u{i}", cacheable())
             qiurl.add(JOIN_SQL.format(epa), f"u{i}", "s")
         db.execute("INSERT INTO car VALUES ('Kia', 'Rio', 14000)")
         db.execute("INSERT INTO car VALUES ('Audi', 'A4', 41000)")
-        pipeline.process_available()
-        return sorted(cache.keys()), pipeline.stats()["workers"]
+        if batched:
+            consumer.process_available()
+            return sorted(cache.keys()), consumer.stats()["workers"]
+        return sorted(cache.keys()), dataclasses.asdict(consumer.run_cycle())
 
     def test_streaming_pipeline_matches_per_instance(self):
         batched_keys, batched = self._run(True)
@@ -447,5 +447,3 @@ class TestStreamingParity:
         assert batched["poll_round_trips_saved"] == (
             batched["batched_instances"] - batched["batched_queries"]
         )
-        assert control["batched_queries"] == 0
-        assert control["poll_round_trips_saved"] == 0

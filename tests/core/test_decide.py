@@ -20,9 +20,6 @@ from repro.web import KeySpec, QueryPageServlet
 from repro.web.servlet import QueryBinding
 
 TOGGLES = (
-    "grouped_analysis",
-    "predicate_index",
-    "batch_polling",
     "safety_enforcement",
     "version_keys",
     "conflict_matrix",

@@ -146,19 +146,20 @@ class TestTypeAnalysis:
 
 class TestInvalidatorIntegration:
     def test_grouped_and_plain_cycles_agree(self):
+        """The product's grouped cycle ejects what the reference cycle,
+        which runs :class:`IndependenceChecker` on every pair, ejects."""
         from repro.web.cache import WebCache
         from repro.web.http import CacheControl, HttpResponse
         from repro.core import Invalidator
         from repro.core.qiurl import QIURLMap
         from helpers import make_car_db
+        from reference_cycle import ReferenceInvalidator
 
         def run(grouped):
             db = make_car_db()
             cache = WebCache()
             qiurl = QIURLMap()
-            invalidator = Invalidator(
-                db, [cache], qiurl, grouped_analysis=grouped
-            )
+            invalidator = Invalidator(db, [cache], qiurl)
             for index, sql in enumerate(QUERY_INSTANCES[:8]):
                 url = f"u{index}"
                 cache.put(
@@ -170,7 +171,10 @@ class TestInvalidatorIntegration:
                 qiurl.add(sql, url, "s")
             db.execute("INSERT INTO car VALUES ('Kia', 'Rio', 14000)")
             db.execute("INSERT INTO mileage VALUES ('Rio', 40)")
-            invalidator.run_cycle()
+            if grouped:
+                invalidator.run_cycle()
+            else:
+                ReferenceInvalidator(invalidator).run_cycle()
             return sorted(cache.keys())
 
         assert run(grouped=True) == run(grouped=False)

@@ -14,15 +14,11 @@ def cacheable(body="page"):
     return HttpResponse(body=body, cache_control=CacheControl.cacheportal_private())
 
 
-def setup(polling_budget=None, use_data_cache=False, batch_polling=True):
+def setup(polling_budget=None):
     db = make_car_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(
-        db, [cache], qiurl,
-        polling_budget=polling_budget, use_data_cache=use_data_cache,
-        batch_polling=batch_polling,
-    )
+    invalidator = Invalidator(db, [cache], qiurl, polling_budget=polling_budget)
     return db, cache, qiurl, invalidator
 
 
@@ -141,16 +137,14 @@ class TestPollingPath:
         assert "u1" not in cache  # safety preserved, precision lost
 
     def test_budget_partial(self):
-        # Per-instance arm: with batching the two same-type polls share
-        # one round trip and a budget of 1 would admit both.
-        db, cache, qiurl, invalidator = setup(
-            polling_budget=1, batch_polling=False
-        )
+        # Two polling templates (``>`` vs ``>=``): same-template polls
+        # would share one round trip and a budget of 1 would admit both.
+        db, cache, qiurl, invalidator = setup(polling_budget=1)
         cache_page(cache, qiurl, "u1", self.JOIN_SQL)
         cache_page(
             cache, qiurl, "u2",
             "SELECT car.maker FROM car, mileage "
-            "WHERE car.model = mileage.model AND mileage.epa > 90",
+            "WHERE car.model = mileage.model AND mileage.epa >= 90",
         )
         db.execute("INSERT INTO car VALUES ('Rolls', 'Ghost', 400000)")
         report = invalidator.run_cycle()
@@ -165,14 +159,6 @@ class TestPollingPath:
         db.execute("INSERT INTO car VALUES ('Rolls', 'Ghost', 400000)")
         report = invalidator.run_cycle()
         assert report.polls_executed == 1
-
-    def test_use_data_cache_mode_works(self):
-        db, cache, qiurl, invalidator = setup(use_data_cache=True)
-        cache_page(cache, qiurl, "u1", self.JOIN_SQL)
-        db.execute("INSERT INTO car VALUES ('Kia', 'Rio', 14000)")
-        db.execute("INSERT INTO mileage VALUES ('Rio', 40)")
-        invalidator.run_cycle()
-        assert "u1" not in cache
 
 
 class TestStatistics:

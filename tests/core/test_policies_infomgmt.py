@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sql.parser import parse_statement
+from repro.core.invalidator.batchpoll import BatchPollExecutor
 from repro.core.invalidator.infomgmt import InformationManager, PollingResultCache
 from repro.core.invalidator.policies import InvalidationPolicy, PolicyEngine
 from repro.core.invalidator.polling import PollingQueryGenerator
@@ -145,40 +146,35 @@ class TestPollingResultCache:
 
 
 class TestInformationManager:
-    def test_poll_with_caching(self, car_db):
+    @staticmethod
+    def poll(car_db, sql):
+        """One cycle's poller over the manager's cross-cycle result cache."""
         manager = InformationManager(car_db, PolicyEngine())
         generator = PollingQueryGenerator(car_db)
-        generator.begin_cycle()
-        query = parse_statement("SELECT COUNT(*) FROM mileage WHERE model = 'Avalon'")
-        assert manager.poll_with_caching(generator, query) is True
-        # Second call is served by the cross-cycle result cache.
-        generator.begin_cycle()
-        assert manager.poll_with_caching(generator, query) is True
+        executor = BatchPollExecutor(manager, generator)
+        query = parse_statement(sql)
+
+        def once():
+            generator.begin_cycle()
+            return executor.execute([("task", query)])["task"].impacted
+
+        return manager, generator, once
+
+    def test_poll_with_caching(self, car_db):
+        _, generator, once = self.poll(
+            car_db, "SELECT COUNT(*) FROM mileage WHERE model = 'Avalon'"
+        )
+        assert once() is True
+        # The next cycle's poll is served by the cross-cycle result cache.
+        assert once() is True
         assert generator.stats.cache_hits == 1
-        assert generator.stats.issued == 1
+        assert generator.stats.batched_queries == 1
 
     def test_cycle_deltas_invalidate_results(self, car_db):
-        manager = InformationManager(car_db, PolicyEngine())
-        generator = PollingQueryGenerator(car_db)
-        generator.begin_cycle()
-        query = parse_statement("SELECT COUNT(*) FROM mileage WHERE model = 'Rio'")
-        assert manager.poll_with_caching(generator, query) is False
+        manager, _, once = self.poll(
+            car_db, "SELECT COUNT(*) FROM mileage WHERE model = 'Rio'"
+        )
+        assert once() is False
         car_db.execute("INSERT INTO mileage VALUES ('Rio', 40)")
         manager.on_cycle_deltas({"mileage"})
-        generator.begin_cycle()
-        assert manager.poll_with_caching(generator, query) is True
-
-    def test_data_cache_mode(self, car_db):
-        manager = InformationManager(car_db, PolicyEngine(), use_data_cache=True)
-        generator = PollingQueryGenerator(car_db)
-        generator.begin_cycle()
-        query = parse_statement("SELECT COUNT(*) FROM mileage WHERE model = 'Avalon'")
-        assert manager.poll_with_caching(generator, query) is True
-        assert manager.data_cache is not None
-        assert manager.data_cache.stats.misses == 1
-
-    def test_servlet_stats_created_on_demand(self, car_db):
-        manager = InformationManager(car_db, PolicyEngine())
-        stats = manager.servlet("catalog")
-        stats.pages_generated += 1
-        assert manager.servlet("catalog").pages_generated == 1
+        assert once() is True

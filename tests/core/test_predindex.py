@@ -3,8 +3,8 @@
 The load-bearing property: the index changes *work*, never *verdicts*.
 Every instance the probe prunes must be one both the grouped checker and
 the per-instance :class:`IndependenceChecker` would call UNAFFECTED, and
-a full invalidation cycle with the index enabled must eject exactly the
-same pages as a scan cycle.
+a full invalidation cycle must eject exactly the pages a scan of every
+touching instance ejects.
 """
 
 import pytest
@@ -314,21 +314,20 @@ class TestPruningNeverChangesVerdicts:
 
 
 class TestCycleEquivalence:
-    """Full indexed cycles eject exactly what scan cycles eject."""
+    """Indexed cycles eject exactly what a scan of every touching
+    instance ejects (the reference cycle of ``reference_cycle.py``)."""
 
-    def _run(self, predicate_index):
+    @staticmethod
+    def _build(make):
         from repro.web.cache import WebCache
         from repro.web.http import CacheControl, HttpResponse
-        from repro.core import Invalidator
         from repro.core.qiurl import QIURLMap
         from helpers import make_car_db
 
         db = make_car_db()
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(
-            db, [cache], qiurl, predicate_index=predicate_index
-        )
+        consumer = make(db, cache, qiurl)
         for index, sql in enumerate(QUERY_INSTANCES):
             url = f"u{index}"
             cache.put(
@@ -338,17 +337,31 @@ class TestCycleEquivalence:
                 ),
             )
             qiurl.add(sql, url, "s")
+        return db, cache, consumer
+
+    def _run(self, reference):
+        from repro.core import Invalidator
+        from reference_cycle import ReferenceInvalidator
+
+        db, cache, invalidator = self._build(
+            lambda db, cache, qiurl: Invalidator(db, [cache], qiurl)
+        )
+        cycle = (
+            ReferenceInvalidator(invalidator).run_cycle
+            if reference
+            else invalidator.run_cycle
+        )
         db.execute("INSERT INTO car VALUES ('Kia', 'Rio', 14000)")
         db.execute("INSERT INTO mileage VALUES ('Rio', 40)")
         db.execute("DELETE FROM car WHERE maker = 'BMW'")
-        reports = [invalidator.run_cycle()]
+        reports = [cycle()]
         db.execute("UPDATE car SET price = 9000 WHERE model = 'Civic'")
-        reports.append(invalidator.run_cycle())
+        reports.append(cycle())
         return sorted(cache.keys()), reports
 
     def test_indexed_and_scan_cycles_agree(self):
-        indexed_keys, indexed_reports = self._run(predicate_index=True)
-        scan_keys, scan_reports = self._run(predicate_index=False)
+        indexed_keys, indexed_reports = self._run(reference=False)
+        scan_keys, scan_reports = self._run(reference=True)
         assert indexed_keys == scan_keys
         for indexed, scan in zip(indexed_reports, scan_reports):
             # Same logical outcome, counter for counter …
@@ -363,46 +376,72 @@ class TestCycleEquivalence:
         assert sum(r.pairs_pruned for r in indexed_reports) > 0
 
     def test_streaming_pipeline_matches_scan(self):
-        from repro.web.cache import WebCache
-        from repro.web.http import CacheControl, HttpResponse
-        from repro.core.qiurl import QIURLMap
+        from repro.core import Invalidator
         from repro.stream import StreamingInvalidationPipeline
-        from helpers import make_car_db
+        from reference_cycle import ReferenceInvalidator
 
-        def run(predicate_index):
-            db = make_car_db()
-            cache = WebCache()
-            qiurl = QIURLMap()
-            pipeline = StreamingInvalidationPipeline(
-                db,
-                [cache],
-                qiurl,
-                num_shards=2,
-                predicate_index=predicate_index,
+        db, cache, pipeline = self._build(
+            lambda db, cache, qiurl: StreamingInvalidationPipeline(
+                db, [cache], qiurl, num_shards=2
             )
-            for index, sql in enumerate(QUERY_INSTANCES):
-                url = f"u{index}"
-                cache.put(
-                    url,
-                    HttpResponse(
-                        body="p",
-                        cache_control=CacheControl.cacheportal_private(),
-                    ),
-                )
-                qiurl.add(sql, url, "s")
-            db.execute("INSERT INTO car VALUES ('Kia', 'Rio', 14000)")
-            db.execute("INSERT INTO mileage VALUES ('Rio', 40)")
+        )
+        twin_db, twin_cache, twin = self._build(
+            lambda db, cache, qiurl: Invalidator(db, [cache], qiurl)
+        )
+        reference = ReferenceInvalidator(twin)
+        # One relation per wave: a stream batch carries one relation, so
+        # its counters line up with a reference cycle over the same wave.
+        totals = dict.fromkeys(("pairs_checked", "affected", "unaffected"), 0)
+        for sql in (
+            "INSERT INTO car VALUES ('Kia', 'Rio', 14000)",
+            "INSERT INTO mileage VALUES ('Rio', 40)",
+        ):
+            db.execute(sql)
+            twin_db.execute(sql)
             pipeline.process_available()
-            snapshot = pipeline.stats()
-            return sorted(cache.keys()), snapshot
+            report = reference.run_cycle()
+            for counter in totals:
+                totals[counter] += getattr(report, counter)
+        snapshot = pipeline.stats()
+        assert sorted(cache.keys()) == sorted(twin_cache.keys())
+        workers = snapshot["workers"]
+        for counter, expected in totals.items():
+            assert workers[counter] == expected, counter
+        assert workers["pairs_pruned"] > 0
+        assert "predicate_index" in snapshot
 
-        indexed_keys, indexed_stats = run(True)
-        scan_keys, scan_stats = run(False)
-        assert indexed_keys == scan_keys
-        iw, sw = indexed_stats["workers"], scan_stats["workers"]
-        assert iw["pairs_checked"] == sw["pairs_checked"]
-        assert iw["affected"] == sw["affected"]
-        assert iw["unaffected"] == sw["unaffected"]
-        assert iw["pairs_pruned"] > 0 and sw["pairs_pruned"] == 0
-        assert "predicate_index" in indexed_stats
-        assert "predicate_index" not in scan_stats
+
+class TestProbeSoundness:
+    """Every instance the grouped checker does not call UNAFFECTED for a
+    record is among the probe's candidates: pruning is never a miss."""
+
+    @given(
+        sqls=st.lists(st.sampled_from(QUERY_INSTANCES), min_size=1, max_size=8),
+        thresholds=st.lists(st.integers(-5, 30000), min_size=0, max_size=4),
+        price=st.one_of(st.none(), st.integers(-5, 80000)),
+        maker=st.one_of(st.none(), st.sampled_from(["Kia", "VW", "BMW"])),
+        model=st.one_of(st.none(), st.sampled_from(["Rio", "Golf", "M5"])),
+        drop=st.sets(st.sampled_from(["maker", "model", "price"])),
+        kind=st.sampled_from([ChangeKind.INSERT, ChangeKind.DELETE]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_possibly_affected_instance_is_a_candidate(
+        self, sqls, thresholds, price, maker, model, drop, kind
+    ):
+        sqls = sqls + [
+            f"SELECT * FROM car WHERE price > {t} AND maker = 'Kia'"
+            for t in thresholds
+        ]
+        registry, index, instances = indexed_registry(*sqls)
+        values = {"maker": maker, "model": model, "price": price}
+        rec = record(
+            "car",
+            kind,
+            **{column: value for column, value in values.items() if column not in drop},
+        )
+        candidate_ids = index.probe("car", rec).candidate_ids
+        grouped = GroupedChecker()
+        for instance in registry.instances_touching("car"):
+            verdict = grouped.check_instance(instance, rec)
+            if verdict.kind is not VerdictKind.UNAFFECTED:
+                assert instance.instance_id in candidate_ids, instance.sql

@@ -247,6 +247,77 @@ class TestTruncatedLogOnRestore:
         assert not report.log_truncated and report.flushed_urls == 0
 
 
+class TestUndeliveredEjects:
+    """An eject some cache missed is retried across a restart: the retry
+    set is durable state, like the cursor it was computed from."""
+
+    @staticmethod
+    def flaky_portal(db, fail_first=1):
+        from repro.web.cache import FlakyCache
+
+        site = build_site(
+            Configuration.WEB_CACHE,
+            car_servlets(),
+            database=db,
+            web_cache=FlakyCache(capacity=100, fail_first=fail_first),
+        )
+        return site, CachePortal(site)
+
+    def test_failed_eject_is_resent_after_restore(self, tmp_path):
+        db = make_car_db()
+        site, portal = self.flaky_portal(db)
+        url = "/catalog?max_price=30000"
+        site.get(url)
+        db.execute("INSERT INTO car VALUES ('Kia', 'Rio', 14000)")
+        portal.run_invalidation_cycle()
+        assert len(portal.invalidator.undelivered) == 1
+        path = tmp_path / "p.ckpt"
+        portal.checkpoint(path)
+        portal = crash_restart(site, portal)
+        report = portal.restore(path)
+        for _ in range(3):
+            portal.run_invalidation_cycle()
+        assert "Rio" in site.get(url).body
+        assert not portal.invalidator.undelivered
+        assert report.ejects_republished == 1
+
+    def test_checkpoint_without_retry_set_restores(self, tmp_path):
+        site, portal = make_portal()
+        site.get("/catalog?max_price=30000")
+        portal.run_invalidation_cycle()
+        payload = snapshot_portal(portal)
+        del payload["undelivered"]
+        path = tmp_path / "old.ckpt"
+        write_checkpoint(path, payload)
+        portal = crash_restart(site, portal)
+        report = portal.restore(path)
+        assert report.ejects_republished == 0
+        assert report.instances_restored == 1
+
+    def test_failed_flush_eject_is_retried(self, tmp_path):
+        db = make_bounded_car_db(capacity=4)
+        site, portal = self.flaky_portal(db)
+        url = "/catalog?max_price=30000"
+        site.get(url)
+        portal.run_invalidation_cycle()
+        path = tmp_path / "p.ckpt"
+        portal.checkpoint(path)
+        for i in range(8):
+            db.execute(f"INSERT INTO car VALUES ('M{i}','X{i}',{1000 + i})")
+        portal = crash_restart(site, portal)
+        # Without reconciliation: the orphan sweep would eject the page
+        # directly, hiding whether the flush eject itself is retried.
+        report = portal.restore(path, reconcile_caches=False)
+        assert report.log_truncated and report.flushed_urls == 1
+        # The flush eject hit the cache's one fault: it stays queued ...
+        assert len(site.web_cache) == 1
+        assert list(portal.invalidator.undelivered) == site.web_cache.keys()
+        # ... and the next cycle delivers it.
+        portal.run_invalidation_cycle()
+        assert len(site.web_cache) == 0
+        assert not portal.invalidator.undelivered
+
+
 class TestPredicateIndexParity:
     """The index is derived state: a restored registry must rebuild it to
     byte-identical probe verdicts, never deserialize it."""

@@ -45,16 +45,12 @@ def cacheable(body="page"):
     )
 
 
-def setup(predicate_index=True, safety_enforcement=True):
+def setup(safety_enforcement=True):
     db = make_car_db()
     cache = WebCache()
     qiurl = QIURLMap()
     invalidator = Invalidator(
-        db,
-        [cache],
-        qiurl,
-        predicate_index=predicate_index,
-        safety_enforcement=safety_enforcement,
+        db, [cache], qiurl, safety_enforcement=safety_enforcement
     )
     return db, cache, qiurl, invalidator
 
@@ -171,14 +167,21 @@ class TestAlwaysEjectEnforcement:
         assert "u-now" not in cache
 
     def test_counter_parity_indexed_vs_scan(self):
+        """The indexed cycle counts enforcement exactly as the reference
+        cycle, which scans every touching instance, does."""
+        from reference_cycle import ReferenceInvalidator
+
         reports = []
-        for predicate_index in (True, False):
-            db, cache, qiurl, invalidator = setup(predicate_index)
+        for reference in (False, True):
+            db, cache, qiurl, invalidator = setup()
             cache_page(cache, qiurl, "u-now", NOW_SQL)
             cache_page(cache, qiurl, "u-safe", SAFE_SQL)
             db.execute("INSERT INTO car VALUES ('Kia', 'Rio', 14000)")
             db.execute("INSERT INTO car VALUES ('Rolls', 'Ghost', 400000)")
-            reports.append((invalidator.run_cycle(), sorted(cache.keys())))
+            consumer = (
+                ReferenceInvalidator(invalidator) if reference else invalidator
+            )
+            reports.append((consumer.run_cycle(), sorted(cache.keys())))
         (indexed, indexed_cache), (scanned, scanned_cache) = reports
         assert indexed_cache == scanned_cache == []
         for counter in (

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import RoutingError
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
 from repro.core import Invalidator
@@ -14,9 +15,11 @@ JOIN_A = (
     "SELECT car.maker FROM car, mileage "
     "WHERE car.model = mileage.model AND mileage.epa > 90"
 )
+# ``>=`` where JOIN_A has ``>``: the two polls come from different
+# templates, so each costs its own round trip against the budget.
 JOIN_B = (
     "SELECT car.maker FROM car, mileage "
-    "WHERE car.model = mileage.model AND mileage.epa > 95"
+    "WHERE car.model = mileage.model AND mileage.epa >= 95"
 )
 
 
@@ -24,14 +27,13 @@ def cacheable():
     return HttpResponse(body="p", cache_control=CacheControl.cacheportal_private())
 
 
-def build(sensitivities, budget, batch_polling=True):
+def build(sensitivities, budget):
     db = make_car_db()
     cache = WebCache()
     qiurl = QIURLMap()
     invalidator = Invalidator(
         db, [cache], qiurl,
         polling_budget=budget,
-        batch_polling=batch_polling,
         servlet_deadline=lambda name: sensitivities[name],
     )
     cache.put("url_a", cacheable())
@@ -57,7 +59,7 @@ class TestDeadlineDerivation:
 
     def test_unknown_servlet_keeps_default(self):
         def resolver(name):
-            raise KeyError(name)
+            raise RoutingError(f"no servlet named {name!r}")
 
         db = make_car_db()
         invalidator = Invalidator(
@@ -68,16 +70,29 @@ class TestDeadlineDerivation:
         )
         assert invalidator.tiers.deadline_for(instance) == 1000.0
 
+    def test_resolver_failure_propagates(self):
+        """Only an unknown servlet falls back to the type default; any
+        other resolver error is a bug and must surface."""
+
+        def resolver(name):
+            raise ValueError(name)
+
+        invalidator = Invalidator(
+            make_car_db(), [WebCache()], QIURLMap(), servlet_deadline=resolver
+        )
+        instance = invalidator.registry.observe_instance(
+            "SELECT * FROM car", "u", servlet="catalog"
+        )
+        with pytest.raises(ValueError):
+            invalidator.tiers.deadline_for(instance)
+
 
 class TestBudgetedOrdering:
     def test_sensitive_servlet_polled_first(self):
         """With budget 1, the instance feeding the time-critical servlet
         gets the poll; the tolerant one is over-invalidated."""
-        # Per-instance arm: batching would fold both same-type polls into
-        # one round trip, defeating the scarcity this test is about.
         db, cache, invalidator = build(
-            {"servlet_a": 10.0, "servlet_b": 9000.0}, budget=1,
-            batch_polling=False,
+            {"servlet_a": 10.0, "servlet_b": 9000.0}, budget=1
         )
         db.execute("INSERT INTO car VALUES ('Rolls', 'Ghost', 400000)")
         report = invalidator.run_cycle()
@@ -90,8 +105,7 @@ class TestBudgetedOrdering:
 
     def test_order_flips_with_sensitivities(self):
         db, cache, invalidator = build(
-            {"servlet_a": 9000.0, "servlet_b": 10.0}, budget=1,
-            batch_polling=False,
+            {"servlet_a": 9000.0, "servlet_b": 10.0}, budget=1
         )
         db.execute("INSERT INTO car VALUES ('Rolls', 'Ghost', 400000)")
         invalidator.run_cycle()

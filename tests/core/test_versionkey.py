@@ -110,17 +110,11 @@ class TestQualification:
         assert verdict is SafetyVerdict.SAFE
 
 
-def build_invalidator(version_keys=True, predicate_index=True):
+def build_invalidator(version_keys=True):
     db = make_car_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(
-        db,
-        [cache],
-        qiurl,
-        version_keys=version_keys,
-        predicate_index=predicate_index,
-    )
+    invalidator = Invalidator(db, [cache], qiurl, version_keys=version_keys)
     return db, cache, qiurl, invalidator
 
 
@@ -148,9 +142,7 @@ class TestFreshSkip:
         assert "u" in cache
 
     def test_matching_update_falls_through_and_ejects(self):
-        db, cache, qiurl, invalidator = build_invalidator(
-            predicate_index=False
-        )
+        db, cache, qiurl, invalidator = build_invalidator()
         cache_page(
             cache, qiurl, "u", "SELECT model FROM car WHERE price < 10000"
         )
@@ -167,9 +159,7 @@ class TestFreshSkip:
         # matching update: bump-before-check guarantees the record has
         # already moved the counter when its own pair is examined, so
         # the counter cannot vouch and the page ejects.
-        db, cache, qiurl, invalidator = build_invalidator(
-            predicate_index=False
-        )
+        db, cache, qiurl, invalidator = build_invalidator()
         cache_page(
             cache, qiurl, "u", "SELECT model FROM car WHERE price < 10000"
         )
