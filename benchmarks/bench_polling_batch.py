@@ -249,7 +249,7 @@ def full_cycle_parity(pages=300):
     def make_stream(db, cache, qiurl):
         from repro.stream import StreamingInvalidationPipeline
 
-        return StreamingInvalidationPipeline(db, [cache], qiurl, num_shards=2)
+        return StreamingInvalidationPipeline(db, [cache], qiurl)
 
     reference_keys, reference = run(
         lambda db, cache, qiurl: ReferenceInvalidator(

@@ -1,11 +1,13 @@
-"""Streaming invalidation: tail the update log, shard by relation,
-batch ejects through the bus.
+"""Streaming invalidation: tail the update log, decide each relation's
+changes in log order, batch ejects through the bus.
 
 Builds Configuration III, deploys CachePortal, then attaches the
-streaming pipeline so invalidation runs *continuously* instead of in
-synchronous cycles: a CDC tailer follows the update log, sharded
-workers analyze each relation's changes in log order, and the eject bus
+streaming pipeline so invalidation runs *incrementally* instead of in
+synchronous cycles: a CDC tailer follows the update log, one lane
+analyzes each relation's changes in log order, and the eject bus
 coalesces, retries and dead-letters `Cache-Control: eject` deliveries.
+The pipeline runs on the thread that drains it; the database writers
+may be anywhere.
 
 Run with::
 
@@ -65,7 +67,7 @@ def main() -> None:
 
     # Attach the streaming pipeline to the installed portal: it shares
     # the portal's registry/mapper and ejects from the site's web cache.
-    pipeline = StreamingInvalidationPipeline.for_portal(portal, num_shards=4)
+    pipeline = StreamingInvalidationPipeline.for_portal(portal)
 
     # A second, unreliable edge cache also wants eject messages — the
     # bus will retry with backoff and dead-letter what never succeeds.
@@ -79,32 +81,29 @@ def main() -> None:
         site.get(url)
     print(f"cached          : {len(site.web_cache)} pages")
 
-    pipeline.start()
-    try:
-        # Updates stream in from concurrent writers; the tailer picks
-        # them up without any explicit invalidation call.
-        def writer(statements):
-            for statement in statements:
-                db.execute(statement)
+    # Updates stream in from concurrent writers; the tailer picks them
+    # up from the update log, and drain() invalidates everything they
+    # committed.
+    def writer(statements):
+        for statement in statements:
+            db.execute(statement)
 
-        threads = [
-            threading.Thread(target=writer, args=([
-                "INSERT INTO product VALUES ('tablet','electronics',450)",
-                "INSERT INTO product VALUES ('lamp','furniture',60)",
-            ],)),
-            threading.Thread(target=writer, args=([
-                "INSERT INTO review VALUES ('phone', 5)",
-            ],)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+    threads = [
+        threading.Thread(target=writer, args=([
+            "INSERT INTO product VALUES ('tablet','electronics',450)",
+            "INSERT INTO product VALUES ('lamp','furniture',60)",
+        ],)),
+        threading.Thread(target=writer, args=([
+            "INSERT INTO review VALUES ('phone', 5)",
+        ],)),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
 
-        drained = pipeline.drain(timeout=10.0)
-        print(f"drained         : {drained}")
-    finally:
-        pipeline.stop()
+    drained = pipeline.drain(timeout=10.0)
+    print(f"drained         : {drained}")
 
     stats = pipeline.stats()
     print(f"records tailed  : {stats['tailer']['records_tailed']}"

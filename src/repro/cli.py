@@ -192,13 +192,11 @@ def _run_stream(args: argparse.Namespace) -> int:
     portal = CachePortal(site)
     pipeline = StreamingInvalidationPipeline.for_portal(
         portal,
-        num_shards=args.shards,
         polling_budget=args.polling_budget,
         batch_size=args.batch_size,
         version_keys=not args.no_version_keys,
         conflict_matrix=not args.no_conflict_matrix,
     )
-    pipeline.start()
     for i in range(args.pages):
         site.get(f"/catalog?max_price={500 + 100 * i}")
         site.get(f"/reviews?min_stars={1 + i % 4}")
@@ -208,12 +206,11 @@ def _run_stream(args: argparse.Namespace) -> int:
             db.execute(f"INSERT INTO review VALUES ('gadget{i}', {1 + i % 5})")
     drained = pipeline.drain(timeout=30.0)
     stats = pipeline.stats()
-    pipeline.stop()
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
     else:
         tailer, workers, bus = stats["tailer"], stats["workers"], stats["bus"]
-        print(f"pipeline: {args.shards} shard(s), drained={drained}")
+        print(f"pipeline: drained={drained}")
         print(
             f"tailer  : {tailer['records_tailed']} records in "
             f"{tailer['batches_tailed']} batches, lag={tailer['lag_records']}"
@@ -719,14 +716,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream = sub.add_parser(
         "stream", help="run the streaming invalidation pipeline demo"
     )
-    p_stream.add_argument("--shards", type=int, default=4,
-                          help="invalidation worker count (default 4)")
     p_stream.add_argument("--pages", type=int, default=12,
                           help="pages to cache before the update burst")
     p_stream.add_argument("--updates", type=int, default=50,
                           help="updates to stream through the pipeline")
     p_stream.add_argument("--polling-budget", type=int, default=None,
-                          help="max polling queries per shard per cycle")
+                          help="max polling queries per relation batch")
     p_stream.add_argument("--batch-size", type=int, default=256,
                           help="tailer batch bound (records)")
     p_stream.add_argument("--json", action="store_true",

@@ -215,7 +215,7 @@ class BatchPollExecutor:
     """Executes one cycle's scheduled polls set-orientedly.
 
     Shared by both consumers (the synchronous invalidator and the
-    streaming shard workers); all statistics flow into the given
+    streaming pipeline); all statistics flow into the given
     generator's :class:`~repro.core.invalidator.polling.PollingStats`, so
     existing counters (``issued``, ``coalesced``, ``cache_hits``,
     ``total_work_units``) keep their meaning and the new round-trip

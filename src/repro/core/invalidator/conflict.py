@@ -58,7 +58,6 @@ verdict drift (a stale matrix can never survive a code change).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -211,7 +210,6 @@ class ConflictMatrix(RegistryListener):
         analysis_for: Optional[Callable[[QueryType], TypeAnalysis]] = None,
         columns_of: Optional[Callable[[str], Optional[List[str]]]] = None,
     ) -> None:
-        self._lock = threading.RLock()
         self._analysis_for = analysis_for or self._own_analysis
         self._columns_of = columns_of
         self._analyses: Dict[int, TypeAnalysis] = {}
@@ -247,46 +245,43 @@ class ConflictMatrix(RegistryListener):
         return self
 
     def instance_registered(self, instance: QueryInstance) -> None:
-        with self._lock:
-            self._types_seen[instance.query_type.type_id] = instance.query_type
-            for table in instance.query_type.tables:
-                self.ensure_table(table)
-            # Eligibility and extractions are computed lazily on first
-            # use; a constant-false instance (``WHERE 1 = 2`` bound) is
-            # precomputed because it short-circuits every class.
-            if self._instance_constant_false(instance):
-                self._constant_false.add(instance.instance_id)
+        self._types_seen[instance.query_type.type_id] = instance.query_type
+        for table in instance.query_type.tables:
+            self.ensure_table(table)
+        # Eligibility and extractions are computed lazily on first
+        # use; a constant-false instance (``WHERE 1 = 2`` bound) is
+        # precomputed because it short-circuits every class.
+        if self._instance_constant_false(instance):
+            self._constant_false.add(instance.instance_id)
 
     def instance_dropped(self, instance: QueryInstance) -> None:
-        with self._lock:
-            iid = instance.instance_id
-            self._constant_false.discard(iid)
-            self._instance_extractions.pop(iid, None)
-            self._skip_memo.pop(iid, None)
-            for proofs in self._instance_proofs.values():
-                proofs.pop(iid, None)
+        iid = instance.instance_id
+        self._constant_false.discard(iid)
+        self._instance_extractions.pop(iid, None)
+        self._skip_memo.pop(iid, None)
+        for proofs in self._instance_proofs.values():
+            proofs.pop(iid, None)
 
     # -- update classes --------------------------------------------------------
 
     def ensure_table(self, table: str) -> None:
         """Make sure the per-kind default classes for ``table`` exist."""
         key = table.lower()
-        with self._lock:
-            if key in self._classes_by_table:
-                return
-            self._classes_by_table[key] = {}
-            for kind in _KINDS:
-                name = f"{key}/{kind}"
-                cls = UpdateClass(
-                    name=name,
-                    table=key,
-                    kind=kind,
-                    where="",
-                    atoms=(),
-                    default=True,
-                )
-                self._classes[name] = cls
-                self._classes_by_table[key][name] = cls
+        if key in self._classes_by_table:
+            return
+        self._classes_by_table[key] = {}
+        for kind in _KINDS:
+            name = f"{key}/{kind}"
+            cls = UpdateClass(
+                name=name,
+                table=key,
+                kind=kind,
+                where="",
+                atoms=(),
+                default=True,
+            )
+            self._classes[name] = cls
+            self._classes_by_table[key][name] = cls
 
     def declare_class(
         self,
@@ -329,59 +324,54 @@ class ConflictMatrix(RegistryListener):
                     f"{where!r}"
                 )
             atoms = tuple(extraction.atoms)
-        with self._lock:
-            self.ensure_table(key)
-            existing = self._classes.get(name)
-            if existing is not None:
-                if (existing.table, existing.kind, existing.where) == (
-                    key,
-                    kind,
-                    where,
-                ):
-                    return existing
-                raise RegistrationError(f"update class {name!r} already declared")
-            cls = UpdateClass(
-                name=name, table=key, kind=kind, where=where, atoms=atoms
-            )
-            self._classes[name] = cls
-            self._classes_by_table[key][name] = cls
-            return cls
+        self.ensure_table(key)
+        existing = self._classes.get(name)
+        if existing is not None:
+            if (existing.table, existing.kind, existing.where) == (
+                key,
+                kind,
+                where,
+            ):
+                return existing
+            raise RegistrationError(f"update class {name!r} already declared")
+        cls = UpdateClass(
+            name=name, table=key, kind=kind, where=where, atoms=atoms
+        )
+        self._classes[name] = cls
+        self._classes_by_table[key][name] = cls
+        return cls
 
     def classes(self) -> List[UpdateClass]:
-        with self._lock:
-            return list(self._classes.values())
+        return list(self._classes.values())
 
     def classes_for_table(self, table: str) -> List[UpdateClass]:
-        with self._lock:
-            self.ensure_table(table)
-            return list(self._classes_by_table[table.lower()].values())
+        self.ensure_table(table)
+        return list(self._classes_by_table[table.lower()].values())
 
     def classes_for_record(self, record: UpdateRecord) -> List[str]:
         """Names of every class the changed tuple provably belongs to."""
-        with self._lock:
-            self.ensure_table(record.table)
-            return [
-                cls.name
-                for cls in self._classes_by_table[record.table].values()
-                if cls.matches(record)
-            ]
+        self.ensure_table(record.table)
+        return [
+            cls.name
+            for cls in self._classes_by_table[record.table].values()
+            if cls.matches(record)
+        ]
 
     # -- cells -----------------------------------------------------------------
 
     def cell(self, query_type: QueryType, class_name: str) -> Cell:
         """The template-level cell for (``query_type``, class)."""
-        with self._lock:
-            update_class = self._classes[class_name]
-            key = (query_type.type_id, class_name)
-            cached = self._cells.get(key)
-            if cached is None:
-                cached = self._compute_cell(query_type, update_class)
-                self._cells[key] = cached
-                self._types_seen[query_type.type_id] = query_type
-                self.cells_computed += 1
-                if cached.verdict is Verdict.DISJOINT:
-                    self.template_disjoint += 1
-            return cached
+        update_class = self._classes[class_name]
+        key = (query_type.type_id, class_name)
+        cached = self._cells.get(key)
+        if cached is None:
+            cached = self._compute_cell(query_type, update_class)
+            self._cells[key] = cached
+            self._types_seen[query_type.type_id] = query_type
+            self.cells_computed += 1
+            if cached.verdict is Verdict.DISJOINT:
+                self.template_disjoint += 1
+        return cached
 
     def _own_analysis(self, query_type: QueryType) -> TypeAnalysis:
         analysis = self._analyses.get(query_type.type_id)
@@ -589,20 +579,19 @@ class ConflictMatrix(RegistryListener):
         instance proofs never change once computed, so only the
         per-record column guard is re-evaluated pair by pair.
         """
-        with self._lock:
-            iid = instance.instance_id
-            if iid in self._constant_false:
-                return "instance"
-            key = tuple(class_names)
-            per_instance = self._skip_memo.setdefault(iid, {})
-            candidates = per_instance.get(key)
-            if candidates is None:
-                candidates = self._skip_candidates(instance, class_names)
-                per_instance[key] = candidates
-            for level, required in candidates:
-                if required <= record_columns:
-                    return level
-            return None
+        iid = instance.instance_id
+        if iid in self._constant_false:
+            return "instance"
+        key = tuple(class_names)
+        per_instance = self._skip_memo.setdefault(iid, {})
+        candidates = per_instance.get(key)
+        if candidates is None:
+            candidates = self._skip_candidates(instance, class_names)
+            per_instance[key] = candidates
+        for level, required in candidates:
+            if required <= record_columns:
+                return level
+        return None
 
     def _skip_candidates(
         self, instance: QueryInstance, class_names: Sequence[str]
@@ -632,9 +621,8 @@ class ConflictMatrix(RegistryListener):
         """Certificates of the instance-level disjointness proof for
         (``instance``, class), or None when no proof exists.  Used by
         ``repro analyze`` for per-cell provenance."""
-        with self._lock:
-            proof = self._instance_proof(instance, class_name)
-            return None if proof is None else list(proof.certificates)
+        proof = self._instance_proof(instance, class_name)
+        return None if proof is None else list(proof.certificates)
 
     def index_drop(self, instance: QueryInstance, table: str) -> bool:
         """True when ``instance`` is provably unaffected by *any* record
@@ -648,53 +636,51 @@ class ConflictMatrix(RegistryListener):
         every future record and stays monotone under later
         ``declare_class`` calls.
         """
-        with self._lock:
-            if instance.instance_id in self._constant_false:
-                return True
-            if self._columns_of is None:
-                return False
-            columns = self._columns_of(table)
-            if columns is None:
-                return False
-            available = {column.lower() for column in columns}
-            self.ensure_table(table)
-            for kind in _KINDS:
-                name = f"{table.lower()}/{kind}"
-                cell = self.cell(instance.query_type, name)
-                if (
-                    cell.verdict is Verdict.DISJOINT
-                    and cell.columns_required <= available
-                    and self._instance_extraction(instance) is not None
-                ):
-                    continue
-                proof = self._instance_proof(instance, name)
-                if proof is not None and proof.columns_required <= available:
-                    continue
-                return False
+        if instance.instance_id in self._constant_false:
             return True
+        if self._columns_of is None:
+            return False
+        columns = self._columns_of(table)
+        if columns is None:
+            return False
+        available = {column.lower() for column in columns}
+        self.ensure_table(table)
+        for kind in _KINDS:
+            name = f"{table.lower()}/{kind}"
+            cell = self.cell(instance.query_type, name)
+            if (
+                cell.verdict is Verdict.DISJOINT
+                and cell.columns_required <= available
+                and self._instance_extraction(instance) is not None
+            ):
+                continue
+            proof = self._instance_proof(instance, name)
+            if proof is not None and proof.columns_required <= available:
+                continue
+            return False
+        return True
 
     # -- checkpointing ---------------------------------------------------------
 
     def snapshot_state(self) -> Dict[str, object]:
         """JSON-compatible dump: declared classes plus every computed
         template-level cell verdict (keyed by type signature)."""
-        with self._lock:
-            classes = [
-                cls.to_dict() for cls in self._classes.values() if not cls.default
-            ]
-            cells = []
-            for (type_id, class_name), cell in sorted(self._cells.items()):
-                query_type = self._types_seen.get(type_id)
-                if query_type is None:
-                    continue
-                cells.append(
-                    {
-                        "signature": query_type.signature,
-                        "class": class_name,
-                        "verdict": cell.verdict.value,
-                    }
-                )
-            return {"classes": classes, "cells": cells}
+        classes = [
+            cls.to_dict() for cls in self._classes.values() if not cls.default
+        ]
+        cells = []
+        for (type_id, class_name), cell in sorted(self._cells.items()):
+            query_type = self._types_seen.get(type_id)
+            if query_type is None:
+                continue
+            cells.append(
+                {
+                    "signature": query_type.signature,
+                    "class": class_name,
+                    "verdict": cell.verdict.value,
+                }
+            )
+        return {"classes": classes, "cells": cells}
 
     def restore_classes(self, state: Dict[str, object]) -> int:
         """Re-declare the snapshot's refined classes (before registry
@@ -733,8 +719,7 @@ class ConflictMatrix(RegistryListener):
                 continue
             query_type = types_by_signature.get(str(spec.get("signature")))
             class_name = str(spec.get("class"))
-            with self._lock:
-                known = class_name in self._classes
+            known = class_name in self._classes
             if query_type is None or not known:
                 stale += 1
                 continue
@@ -745,21 +730,20 @@ class ConflictMatrix(RegistryListener):
         return {"compared": compared, "mismatches": mismatches, "stale": stale}
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
-            instance_proofs = sum(
-                1
-                for proofs in self._instance_proofs.values()
-                for proof in proofs.values()
-                if proof is not None
-            )
-            return {
-                "classes": len(self._classes),
-                "cells_computed": self.cells_computed,
-                "template_disjoint": self.template_disjoint,
-                "instance_disjoint_proofs": instance_proofs,
-                "constant_false_instances": len(self._constant_false),
-                "certificate_failures": self.certificate_failures,
-            }
+        instance_proofs = sum(
+            1
+            for proofs in self._instance_proofs.values()
+            for proof in proofs.values()
+            if proof is not None
+        )
+        return {
+            "classes": len(self._classes),
+            "cells_computed": self.cells_computed,
+            "template_disjoint": self.template_disjoint,
+            "instance_disjoint_proofs": instance_proofs,
+            "constant_false_instances": len(self._constant_false),
+            "certificate_failures": self.certificate_failures,
+        }
 
 
 def _required_columns(

@@ -4,7 +4,7 @@ The paper's invalidator is one cycle (§4, Figure 11): pull the Δs, check
 every (query instance, change) pair, schedule polls within the budget,
 eject.  Two consumers run it — the synchronous
 :class:`~repro.core.invalidator.invalidator.Invalidator` (one pass per
-synchronization point) and the streaming shard workers of
+synchronization point) and the streaming pipeline's worker in
 :mod:`repro.stream.workers` (one pass per relation batch).  Everything
 between "records pulled" and "URLs to eject" lives here, so the eject
 set is identical whichever consumer produced it:
@@ -14,9 +14,9 @@ set is identical whichever consumer produced it:
   keys;
 * :class:`Tiers` also owns the update-loss valve, the poll-deadline
   resolver and the registry walk behind the safety counters;
-* :class:`Lane` holds one consumer thread's private tools (scheduler,
-  polling generator, batch poller, checker) and runs the decision
-  cascade (:meth:`Lane.decide`) and the poll phase (:meth:`Lane.poll`).
+* :class:`Lane` holds a consumer's private tools (scheduler, polling
+  generator, batch poller, checker) and runs the decision cascade
+  (:meth:`Lane.decide`) and the poll phase (:meth:`Lane.poll`).
 
 Counters go into a caller-owned ``counts`` mapping whose names are the
 fields of :class:`~repro.core.invalidator.invalidator.InvalidationReport`
@@ -26,7 +26,6 @@ and the counters of :class:`~repro.stream.metrics.PipelineMetrics`.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Counter, Dict, List, Optional, Sequence, Tuple
 
@@ -58,8 +57,8 @@ PollTask = Tuple[QueryInstance, Verdict]
 
 @dataclass
 class Tiers:
-    """The query registry and every decision tier built over it, shared
-    by all lanes of one consumer.  A tier whose toggle is off is None."""
+    """The query registry and every decision tier built over it, used by
+    one consumer's lane.  A tier whose toggle is off is None."""
 
     database: Database
     qiurl_map: QIURLMap
@@ -203,21 +202,20 @@ class Doomed(dict):
 
 
 class Lane:
-    """One consumer thread's tool chain over shared tiers.
+    """A consumer's tool chain over its tiers.
 
-    The synchronous invalidator has one lane; the stream has one per
-    shard, so each shard's polling budget is enforced per batch exactly
-    as §4.2.2 prescribes.  ``registry_lock`` guards the registry, the
-    index probes and per-type statistics; ``db_lock`` guards SQL the
-    lane executes.  Both default to no-ops for a single-threaded caller.
+    Each consumer — the synchronous invalidator and the streaming
+    pipeline — has exactly one lane and runs it on one thread.  Its
+    scheduler enforces the polling budget once per pass, as §4.2.2
+    prescribes.  The checker's per-instance memo follows the registry:
+    it forgets an instance when the instance is dropped.
     """
 
-    def __init__(self, tiers: Tiers, registry_lock=None, db_lock=None) -> None:
+    def __init__(self, tiers: Tiers) -> None:
         self.tiers = tiers
-        self.registry_lock = registry_lock or nullcontext()
-        self.db_lock = db_lock or nullcontext()
         self.scheduler = InvalidationScheduler(polling_budget=tiers.polling_budget)
         self.grouped_checker = GroupedChecker()
+        tiers.registry.add_listener(self.grouped_checker)
         self.polling = PollingQueryGenerator(tiers.database)
         self.batch_poller = BatchPollExecutor(tiers.infomgmt, self.polling)
 
@@ -256,32 +254,27 @@ class Lane:
             record_columns = [set(record.columns) for record in records]
         static_ids: "set[int]" = set()
         version_keyed: List[QueryInstance] = []
-        with self.registry_lock:
-            if matrix is not None:
-                static_ids = set(index.statically_dropped_ids(table))
-            probe_start = time.perf_counter()
-            probes = [index.probe(table, record) for record in records]
-            probe_ms = 1000.0 * (time.perf_counter() - probe_start)
-            # Snapshot the per-type live counts: other shards may drop
-            # instances while this batch is in flight.
-            type_totals = {
-                type_id: (query_type, count)
-                for type_id, (query_type, count) in index.table_type_counts(
-                    table
-                ).items()
-            }
-            # Version-keyed instances bypass the bulk probe skip: their
-            # counter check — not the per-record probe — is this tier's
-            # primary resolver, so every pair must materialize and reach
-            # the cascade below.
-            if versions is not None and enforcer is not None:
-                version_keyed = [
-                    instance
-                    for instance in tiers.registry.instances_touching(table)
-                    if instance.query_type.safety is not None
-                    and instance.query_type.safety.verdict
-                    is SafetyVerdict.VERSION_KEY
-                ]
+        if matrix is not None:
+            static_ids = set(index.statically_dropped_ids(table))
+        probe_start = time.perf_counter()
+        probes = [index.probe(table, record) for record in records]
+        probe_ms = 1000.0 * (time.perf_counter() - probe_start)
+        # The index's per-type counts are a live view: copy them.
+        type_totals = {
+            type_id: (query_type, count)
+            for type_id, (query_type, count) in index.table_type_counts(table).items()
+        }
+        # Version-keyed instances bypass the bulk probe skip: their
+        # counter check — not the per-record probe — is this tier's
+        # primary resolver, so every pair must materialize and reach
+        # the cascade below.
+        if versions is not None and enforcer is not None:
+            version_keyed = [
+                instance
+                for instance in tiers.registry.instances_touching(table)
+                if instance.query_type.safety is not None
+                and instance.query_type.safety.verdict is SafetyVerdict.VERSION_KEY
+            ]
 
         check_instance = self.grouped_checker.check_instance
         tasks: List[PollTask] = []
@@ -366,8 +359,7 @@ class Lane:
                         self._doom(instance, doomed)
                         continue
                     poll_only_checks += 1
-                    with self.db_lock:
-                        eject = enforcer.check_poll_only(instance, record)
+                    eject = enforcer.check_poll_only(instance, record)
                     if eject:
                         affected += 1
                         self._doom(instance, doomed)
@@ -435,9 +427,8 @@ class Lane:
             template_pairs_pruned=template_pruned,
         )
         if updates_seen_by_type:
-            with self.registry_lock:
-                for query_type, count in updates_seen_by_type.values():
-                    query_type.stats.updates_seen += count
+            for query_type, count in updates_seen_by_type.values():
+                query_type.stats.updates_seen += count
         return tasks
 
     def poll(
@@ -476,8 +467,7 @@ class Lane:
             for candidate in schedule.to_poll
             if live[candidate.key][0].instance_id not in doomed
         ]
-        with self.db_lock:
-            outcomes = self.batch_poller.execute(pending)
+        outcomes = self.batch_poller.execute(pending)
         executed = impacted_polls = over_invalidated = 0
         for candidate in schedule.to_poll:
             instance = live[candidate.key][0]
@@ -488,14 +478,13 @@ class Lane:
                 continue
             impacted, work = outcome.impacted, outcome.work_units
             executed += 1
-            with self.registry_lock:
-                query_type = instance.query_type
-                query_type.stats.polling_queries_issued += 1
-                # Self-tuning cost estimate (§4.1.1 item 4): an exponential
-                # moving average of measured polling work (a batch member's
-                # amortized share) feeds later scheduling decisions.
-                if work > 0:
-                    query_type.cost = 0.8 * query_type.cost + 0.2 * work
+            query_type = instance.query_type
+            query_type.stats.polling_queries_issued += 1
+            # Self-tuning cost estimate (§4.1.1 item 4): an exponential
+            # moving average of measured polling work (a batch member's
+            # amortized share) feeds later scheduling decisions.
+            if work > 0:
+                query_type.cost = 0.8 * query_type.cost + 0.2 * work
             if impacted:
                 impacted_polls += 1
                 self._doom(instance, doomed)
@@ -518,11 +507,10 @@ class Lane:
 
     def _doom(self, instance: QueryInstance, doomed: Doomed) -> None:
         doomed[instance.instance_id] = instance
-        with self.registry_lock:
-            # Time from the pass's start to this invalidation — the
-            # per-type latency statistic of §4.1.1 (item 4), in ms.
-            instance.query_type.stats.record_invalidation(
-                elapsed=1000.0 * (time.perf_counter() - doomed.started)
-            )
-            for url in sorted(instance.urls):
-                doomed.urls.setdefault(url)
+        # Time from the pass's start to this invalidation — the
+        # per-type latency statistic of §4.1.1 (item 4), in ms.
+        instance.query_type.stats.record_invalidation(
+            elapsed=1000.0 * (time.perf_counter() - doomed.started)
+        )
+        for url in sorted(instance.urls):
+            doomed.urls.setdefault(url)

@@ -35,7 +35,11 @@ from repro.core.invalidator.analysis import (
     VerdictKind,
     _ValueSubstituter,
 )
-from repro.core.invalidator.registration import QueryInstance, QueryType
+from repro.core.invalidator.registration import (
+    QueryInstance,
+    QueryType,
+    RegistryListener,
+)
 
 
 @dataclass(frozen=True)
@@ -235,21 +239,27 @@ class TypeAnalysis:
         return "residual"
 
 
-class GroupedChecker:
+class GroupedChecker(RegistryListener):
     """Independence checking with per-type analysis caching.
 
     Drop-in alternative to :class:`IndependenceChecker` for instances that
     carry their :class:`QueryType`.  Analyses are cached by type id for
-    the checker's lifetime (types are immutable once registered).
+    the checker's lifetime (types are immutable once registered).  Bound
+    conditions are memoized per instance; attached to a registry as a
+    listener, the checker forgets an instance when it is dropped.
     """
 
     def __init__(self) -> None:
         self._analyses: Dict[int, TypeAnalysis] = {}
-        # Per-instance bound conditions: an instance's bindings never
+        # Per-instance bound conditions (instance id → binding → bound
+        # local and residual conditions): an instance's bindings never
         # change, so binding parameters into the templates happens once.
-        self._bound: Dict[Tuple[int, str], Tuple[list, list]] = {}
+        self._bound: Dict[int, Dict[str, Tuple[list, Optional[list]]]] = {}
         self.analyses_computed = 0
         self.checks_performed = 0
+
+    def instance_dropped(self, instance: QueryInstance) -> None:
+        self._bound.pop(instance.instance_id, None)
 
     def analysis_for(self, query_type: QueryType) -> TypeAnalysis:
         analysis = self._analyses.get(query_type.type_id)
@@ -300,10 +310,10 @@ class GroupedChecker:
 
     def _bound_conditions(
         self, instance: QueryInstance, binding_analysis: BindingAnalysis
-    ) -> Tuple[list, list]:
+    ) -> Tuple[list, Optional[list]]:
         """Bind the instance's parameters into the templates, memoized."""
-        key = (instance.instance_id, binding_analysis.binding)
-        cached = self._bound.get(key)
+        per_binding = self._bound.setdefault(instance.instance_id, {})
+        cached = per_binding.get(binding_analysis.binding)
         if cached is not None:
             return cached
         try:
@@ -317,7 +327,7 @@ class GroupedChecker:
             ]
         except (DatabaseError, ReproError):
             locals_bound, residuals_bound = [], None  # None: unbindable
-        self._bound[key] = (locals_bound, residuals_bound)
+        per_binding[binding_analysis.binding] = (locals_bound, residuals_bound)
         return locals_bound, residuals_bound
 
     # -- internals --------------------------------------------------------------

@@ -44,9 +44,8 @@ Consistency: the index implements the
 :class:`~repro.core.invalidator.registration.RegistryListener` protocol;
 attach it to a :class:`QueryTypeRegistry` and every instance discovery
 inserts entries while every eviction (``drop_url`` orphaning an
-instance) removes them.  Mutations and probes are not internally locked
-— callers serialize through the registry lock, as the streaming workers
-already do for ``instances_touching``.
+instance) removes them.  Mutations and probes are not locked: each
+consumer runs its registry and lane on one thread.
 """
 
 from __future__ import annotations

@@ -37,14 +37,13 @@ can never classify ``SAFE``, whatever the rule table says.
 :class:`SafetyEnforcer` carries the runtime half: it listens to the
 registry for new instances, establishes POLL_ONLY fingerprints at cycle
 start, and answers the verdict/fingerprint questions the synchronous
-invalidator and the streaming workers ask per (instance, update) pair.
+invalidator and the streaming pipeline ask per (instance, update) pair.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
@@ -185,16 +184,13 @@ class SafetyEnforcer:
     change.  Unchanged re-polls advance ``fingerprint_lsn`` to the log
     head so already-incorporated records short-circuit.
 
-    Thread-safety: registry callbacks and cycle preparation take the
-    internal lock; :meth:`check_poll_only` re-executes SQL, so streaming
-    callers must hold their database lock around it (the synchronous
-    invalidator is single-threaded).
+    Both consumers drive the enforcer from their one invalidation
+    thread, so its state takes no lock.
     """
 
     def __init__(self, database: "Database", enabled: bool = True) -> None:
         self.database = database
         self.enabled = enabled
-        self._lock = threading.RLock()
         self._pending: List["QueryInstance"] = []
         #: Instance ids fingerprinted in the current (not yet survived)
         #: cycle — conservative ejection applies to them.
@@ -209,18 +205,16 @@ class SafetyEnforcer:
             return
         if self.verdict_for(instance.query_type) is not SafetyVerdict.POLL_ONLY:
             return
-        with self._lock:
-            if instance.result_fingerprint is None:
-                self._pending.append(instance)
+        if instance.result_fingerprint is None:
+            self._pending.append(instance)
 
     def instance_dropped(self, instance: "QueryInstance") -> None:
-        with self._lock:
-            self._baseline.discard(instance.instance_id)
-            self._pending = [
-                pending
-                for pending in self._pending
-                if pending.instance_id != instance.instance_id
-            ]
+        self._baseline.discard(instance.instance_id)
+        self._pending = [
+            pending
+            for pending in self._pending
+            if pending.instance_id != instance.instance_id
+        ]
 
     # -- verdicts -------------------------------------------------------------
 
@@ -239,23 +233,21 @@ class SafetyEnforcer:
 
         Call once per invalidation cycle, after QI/URL ingest and before
         update processing.  ``promote`` graduates the previous cycle's
-        baseline instances to trusted status; streaming callers pass
-        ``False`` while workers are still draining older batches (the
-        prior baseline must stay conservative until its records are
-        done).  Returns the number of fingerprints computed.
+        baseline instances to trusted status; the streaming pipeline
+        passes ``False`` while batches of an older pump are still
+        undecided (the prior baseline must stay conservative until its
+        records are done).  Returns the number of fingerprints computed.
         """
         if not self.enabled:
             return 0
-        with self._lock:
-            if promote:
-                self._baseline.clear()
-            pending, self._pending = self._pending, []
+        if promote:
+            self._baseline.clear()
+        pending, self._pending = self._pending, []
         computed = 0
         for instance in pending:
             if self._fingerprint(instance):
                 computed += 1
-                with self._lock:
-                    self._baseline.add(instance.instance_id)
+                self._baseline.add(instance.instance_id)
         self.fingerprints_computed += computed
         return computed
 
@@ -284,11 +276,10 @@ class SafetyEnforcer:
         lsn = instance.fingerprint_lsn
         if fingerprint is None or lsn is None:
             return True
-        with self._lock:
-            if instance.instance_id in self._baseline:
-                # The fingerprint may postdate the page render; nothing is
-                # proven yet, so any touching update ejects.
-                return True
+        if instance.instance_id in self._baseline:
+            # The fingerprint may postdate the page render; nothing is
+            # proven yet, so any touching update ejects.
+            return True
         if record.lsn <= lsn:
             # Already incorporated into a trusted fingerprint.
             return False
@@ -312,15 +303,13 @@ class SafetyEnforcer:
         baseline queues — which describe in-flight cycle state that did
         not survive the crash — are discarded.
         """
-        with self._lock:
-            self._pending.clear()
-            self._baseline.clear()
+        self._pending.clear()
+        self._baseline.clear()
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "fingerprints_computed": self.fingerprints_computed,
-                "fingerprint_polls": self.fingerprint_polls,
-                "pending_fingerprints": len(self._pending),
-                "baseline_instances": len(self._baseline),
-            }
+        return {
+            "fingerprints_computed": self.fingerprints_computed,
+            "fingerprint_polls": self.fingerprint_polls,
+            "pending_fingerprints": len(self._pending),
+            "baseline_instances": len(self._baseline),
+        }

@@ -22,7 +22,7 @@ def dedupe_records(
     Records with the same kind, tuple, and columns yield identical
     verdicts for every query instance, so only the first needs checking.
     Returns the unique records (original order) and the duplicate count.
-    Shared by the synchronous invalidator and the streaming shard workers.
+    Shared by the synchronous invalidator and the streaming pipeline.
     """
     unique: List[UpdateRecord] = []
     seen = set()

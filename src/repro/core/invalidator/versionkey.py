@@ -51,7 +51,6 @@ fresh" for restored instances rather than to staleness.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
@@ -276,7 +275,6 @@ class VersionKeyIndex(RegistryListener):
     """
 
     def __init__(self, analysis_for=None, stamp_source=None) -> None:
-        self._lock = threading.RLock()
         self._analyses: Dict[int, TypeAnalysis] = {}
         self._analysis_for = analysis_for or self._own_analysis
         self._stamp_source = stamp_source
@@ -321,43 +319,41 @@ class VersionKeyIndex(RegistryListener):
             or classification.verdict is not SafetyVerdict.VERSION_KEY
         ):
             return
-        with self._lock:
-            if self._stamp_source is not None:
-                instance.version_stamp_lsn = int(self._stamp_source())
-            analysis = self._analysis_for(instance.query_type)
-            built = self._build_key_parts(instance, analysis)
-            if built == "never":
-                self._never.add(instance.instance_id)
-                return
-            if built is None:
-                self.instances_unkeyed += 1
-                return
-            canonical, table, binding, conjuncts, probe = built
-            key = self._keys.get(canonical)
-            if key is None:
-                key = _Key(
-                    next(self._key_ids), canonical, table, binding, conjuncts, probe
-                )
-                self._keys[canonical] = key
-                self._tables.setdefault(table, _TableKeys()).add(key)
-            key.refs.add(instance.instance_id)
-            self._key_of[instance.instance_id] = key
+        if self._stamp_source is not None:
+            instance.version_stamp_lsn = int(self._stamp_source())
+        analysis = self._analysis_for(instance.query_type)
+        built = self._build_key_parts(instance, analysis)
+        if built == "never":
+            self._never.add(instance.instance_id)
+            return
+        if built is None:
+            self.instances_unkeyed += 1
+            return
+        canonical, table, binding, conjuncts, probe = built
+        key = self._keys.get(canonical)
+        if key is None:
+            key = _Key(
+                next(self._key_ids), canonical, table, binding, conjuncts, probe
+            )
+            self._keys[canonical] = key
+            self._tables.setdefault(table, _TableKeys()).add(key)
+        key.refs.add(instance.instance_id)
+        self._key_of[instance.instance_id] = key
 
     def instance_dropped(self, instance: QueryInstance) -> None:
-        with self._lock:
-            self._never.discard(instance.instance_id)
-            key = self._key_of.pop(instance.instance_id, None)
-            if key is None:
-                return
-            key.refs.discard(instance.instance_id)
-            if key.refs:
-                return
-            del self._keys[key.canonical]
-            table_keys = self._tables.get(key.table)
-            if table_keys is not None:
-                table_keys.remove(key)
-                if not table_keys.members:
-                    del self._tables[key.table]
+        self._never.discard(instance.instance_id)
+        key = self._key_of.pop(instance.instance_id, None)
+        if key is None:
+            return
+        key.refs.discard(instance.instance_id)
+        if key.refs:
+            return
+        del self._keys[key.canonical]
+        table_keys = self._tables.get(key.table)
+        if table_keys is not None:
+            table_keys.remove(key)
+            if not table_keys.members:
+                del self._tables[key.table]
 
     # -- the update stream -----------------------------------------------------
 
@@ -369,32 +365,30 @@ class VersionKeyIndex(RegistryListener):
         Returns the number of key bumps performed.
         """
         bumped = 0
-        with self._lock:
-            for record in records:
-                table = record.table.lower()
-                if self._coarse.get(table, -1) < record.lsn:
-                    self._coarse[table] = record.lsn
-                table_keys = self._tables.get(table)
-                if table_keys is None or not table_keys.members:
+        for record in records:
+            table = record.table.lower()
+            if self._coarse.get(table, -1) < record.lsn:
+                self._coarse[table] = record.lsn
+            table_keys = self._tables.get(table)
+            if table_keys is None or not table_keys.members:
+                continue
+            tuple_values = record.as_dict()
+            for key in table_keys.candidates(tuple_values).values():
+                if key.last_bump_lsn >= record.lsn:
                     continue
-                tuple_values = record.as_dict()
-                for key in table_keys.candidates(tuple_values).values():
-                    if key.last_bump_lsn >= record.lsn:
-                        continue
-                    if self._matches(key, tuple_values):
-                        key.last_bump_lsn = record.lsn
-                        bumped += 1
-            self.records_observed += len(records)
-            self.keys_bumped += bumped
+                if self._matches(key, tuple_values):
+                    key.last_bump_lsn = record.lsn
+                    bumped += 1
+        self.records_observed += len(records)
+        self.keys_bumped += bumped
         return bumped
 
     def note_truncation(self, floor_lsn: int) -> None:
         """The log truncated past the cursor: bump coverage up to the
         resynced cursor is unknowable, so no older stamp may be vouched
         for again.  Pass the consumer's resynced cursor."""
-        with self._lock:
-            self._truncation_floor = max(self._truncation_floor, int(floor_lsn))
-            self._floor = max(self._floor, int(floor_lsn))
+        self._truncation_floor = max(self._truncation_floor, int(floor_lsn))
+        self._floor = max(self._floor, int(floor_lsn))
 
     # -- the O(1) check --------------------------------------------------------
 
@@ -404,45 +398,43 @@ class VersionKeyIndex(RegistryListener):
         False means "cannot vouch", never "affected" — the caller falls
         back to the precise checker.
         """
-        with self._lock:
-            self.checks += 1
-            instance_id = instance.instance_id
-            if instance_id in self._never:
-                self.fresh_hits += 1
-                return True
-            key = self._key_of.get(instance_id)
-            if key is None:
-                return False
-            stamp = instance.version_stamp_lsn
-            if stamp is None or stamp < self._floor:
-                return False
-            if record.lsn <= stamp:
-                # At or below the stamp the page's own render already
-                # reflects the record — or, for a restored instance, the
-                # record was handled before the checkpoint.  Either way
-                # this index has nothing to add; stay conservative.
-                return False
-            if self._coarse.get(record.table.lower(), -1) < record.lsn:
-                return False  # record not yet observed: cannot vouch
-            if key.last_bump_lsn <= stamp:
-                self.fresh_hits += 1
-                return True
+        self.checks += 1
+        instance_id = instance.instance_id
+        if instance_id in self._never:
+            self.fresh_hits += 1
+            return True
+        key = self._key_of.get(instance_id)
+        if key is None:
             return False
+        stamp = instance.version_stamp_lsn
+        if stamp is None or stamp < self._floor:
+            return False
+        if record.lsn <= stamp:
+            # At or below the stamp the page's own render already
+            # reflects the record — or, for a restored instance, the
+            # record was handled before the checkpoint.  Either way
+            # this index has nothing to add; stay conservative.
+            return False
+        if self._coarse.get(record.table.lower(), -1) < record.lsn:
+            return False  # record not yet observed: cannot vouch
+        if key.last_bump_lsn <= stamp:
+            self.fresh_hits += 1
+            return True
+        return False
 
     # -- checkpointing ---------------------------------------------------------
 
     def snapshot_state(self) -> Dict:
         """JSON-compatible counter state; keys themselves are derived
         state and are rebuilt by registry replay on restore."""
-        with self._lock:
-            return {
-                "floor": self._floor,
-                "coarse": dict(self._coarse),
-                "keys": {
-                    canonical: key.last_bump_lsn
-                    for canonical, key in self._keys.items()
-                },
-            }
+        return {
+            "floor": self._floor,
+            "coarse": dict(self._coarse),
+            "keys": {
+                canonical: key.last_bump_lsn
+                for canonical, key in self._keys.items()
+            },
+        }
 
     def restore_state(self, state: Optional[Dict], fallback_floor: int) -> int:
         """Overlay checkpointed counters onto the replay-rebuilt keys.
@@ -452,51 +444,49 @@ class VersionKeyIndex(RegistryListener):
         (the restored cursor) so pre-checkpoint stamps are never vouched
         for — conservative, not stale.
         """
-        with self._lock:
-            if not state:
-                self._floor = max(self._floor, int(fallback_floor))
-                for key in self._keys.values():
-                    key.last_bump_lsn = max(key.last_bump_lsn, int(fallback_floor))
-                return 0
-            # The snapshot's floor *replaces* the construction-time one:
-            # its counters cover everything from that floor through the
-            # checkpoint, and the rewound cursor replays the rest through
-            # ``observe`` before any pair is checked.  Truncation floors
-            # are the exception — lost bumps stay lost.
-            self._floor = max(
-                int(state.get("floor", fallback_floor)), self._truncation_floor
-            )
-            for table, lsn in (state.get("coarse") or {}).items():
-                if self._coarse.get(table, -1) < int(lsn):
-                    self._coarse[table] = int(lsn)
-            counters = state.get("keys") or {}
-            restored = 0
+        if not state:
+            self._floor = max(self._floor, int(fallback_floor))
             for key in self._keys.values():
-                if key.canonical in counters:
-                    key.last_bump_lsn = max(
-                        key.last_bump_lsn, int(counters[key.canonical])
-                    )
-                    restored += 1
-                else:
-                    # Unknown to the snapshot: assume bumped through the
-                    # checkpoint so only post-restore quiet can vouch.
-                    key.last_bump_lsn = max(key.last_bump_lsn, int(fallback_floor))
-            return restored
+                key.last_bump_lsn = max(key.last_bump_lsn, int(fallback_floor))
+            return 0
+        # The snapshot's floor *replaces* the construction-time one:
+        # its counters cover everything from that floor through the
+        # checkpoint, and the rewound cursor replays the rest through
+        # ``observe`` before any pair is checked.  Truncation floors
+        # are the exception — lost bumps stay lost.
+        self._floor = max(
+            int(state.get("floor", fallback_floor)), self._truncation_floor
+        )
+        for table, lsn in (state.get("coarse") or {}).items():
+            if self._coarse.get(table, -1) < int(lsn):
+                self._coarse[table] = int(lsn)
+        counters = state.get("keys") or {}
+        restored = 0
+        for key in self._keys.values():
+            if key.canonical in counters:
+                key.last_bump_lsn = max(
+                    key.last_bump_lsn, int(counters[key.canonical])
+                )
+                restored += 1
+            else:
+                # Unknown to the snapshot: assume bumped through the
+                # checkpoint so only post-restore quiet can vouch.
+                key.last_bump_lsn = max(key.last_bump_lsn, int(fallback_floor))
+        return restored
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "keys": len(self._keys),
-                "keyed_instances": len(self._key_of),
-                "never_instances": len(self._never),
-                "unkeyed_instances": self.instances_unkeyed,
-                "tables": len(self._tables),
-                "floor": self._floor,
-                "records_observed": self.records_observed,
-                "keys_bumped": self.keys_bumped,
-                "checks": self.checks,
-                "fresh_hits": self.fresh_hits,
-            }
+        return {
+            "keys": len(self._keys),
+            "keyed_instances": len(self._key_of),
+            "never_instances": len(self._never),
+            "unkeyed_instances": self.instances_unkeyed,
+            "tables": len(self._tables),
+            "floor": self._floor,
+            "records_observed": self.records_observed,
+            "keys_bumped": self.keys_bumped,
+            "checks": self.checks,
+            "fresh_hits": self.fresh_hits,
+        }
 
     # -- key construction ------------------------------------------------------
 

@@ -276,25 +276,20 @@ def restore_portal(
 def restore_pipeline(
     pipeline, payload: Dict, reconcile_caches: bool = True
 ) -> RecoveryReport:
-    """Reload a snapshot into a (not yet started) streaming pipeline."""
+    """Reload a snapshot into a (not yet pumped) streaming pipeline."""
     report = RecoveryReport()
     report.map_rows_restored = pipeline.qiurl_map.restore_state(payload["qiurl"])
     matrix = pipeline.conflict_matrix
     conflict_state = payload.get("conflict_matrix")
-    with pipeline.registry_lock:
-        if matrix is not None and conflict_state:
-            report.conflict_classes_restored = matrix.restore_classes(
-                conflict_state
-            )
-        registry_stats = pipeline.registry.restore_state(payload["registry"])
-        if matrix is not None and conflict_state:
-            comparison = matrix.compare_cells(
-                conflict_state, pipeline.registry
-            )
-            report.conflict_cells_compared = comparison["compared"]
-            report.conflict_cell_mismatches = comparison["mismatches"]
-        pipeline.safety.after_restore()
-        report.fingerprints_restored = _count_fingerprints(pipeline.registry)
+    if matrix is not None and conflict_state:
+        report.conflict_classes_restored = matrix.restore_classes(conflict_state)
+    registry_stats = pipeline.registry.restore_state(payload["registry"])
+    if matrix is not None and conflict_state:
+        comparison = matrix.compare_cells(conflict_state, pipeline.registry)
+        report.conflict_cells_compared = comparison["compared"]
+        report.conflict_cell_mismatches = comparison["mismatches"]
+    pipeline.safety.after_restore()
+    report.fingerprints_restored = _count_fingerprints(pipeline.registry)
     report.types_restored = registry_stats["query_types"]
     report.instances_restored = registry_stats["query_instances"]
     cursor = int(payload["cursor_lsn"])

@@ -1,17 +1,17 @@
 """Streaming invalidation pipeline (the real-time form of paper §4.2).
 
 The paper requires the invalidator to "function in real time"; this
-package turns the synchronous invalidation pass into a continuously
-running pipeline:
+package turns the synchronous invalidation pass into an incremental
+pipeline that one caller drives, tick by tick, on its own thread:
 
 * :mod:`tailer` — CDC consumption of the Δ⁺R/Δ⁻R update stream with
   bounded buffering and resumable offsets;
-* :mod:`workers` — relation-sharded worker threads running the grouped
-  independence analysis and budgeted polling per shard;
+* :mod:`workers` — the one lane running the grouped independence
+  analysis and budgeted polling per relation batch, in log order;
 * :mod:`bus` — coalescing eject delivery with retry, backoff, per-cache
   circuit breaking, and a dead-letter queue;
-* :mod:`metrics` — lag, queue depths, ejects/sec, poll-budget
-  utilization, retry counts: the ``stats()`` snapshot;
+* :mod:`metrics` — lag, ejects/sec, poll-budget utilization, retry
+  counts: the ``stats()`` snapshot;
 * :mod:`pipeline` — the orchestrator wiring the above to a database,
   a QI/URL map, and a set of caches.
 """
@@ -20,13 +20,7 @@ from repro.stream.bus import CacheTarget, CircuitBreaker, DeadLetter, EjectBus
 from repro.stream.metrics import PipelineMetrics
 from repro.stream.pipeline import StreamingInvalidationPipeline
 from repro.stream.tailer import LogTailer, TailBatch
-from repro.stream.workers import (
-    InvalidationWorker,
-    ShardBatch,
-    WorkerContext,
-    WorkerPool,
-    shard_for,
-)
+from repro.stream.workers import InvalidationWorker, RelationBatch
 
 __all__ = [
     "CacheTarget",
@@ -36,10 +30,7 @@ __all__ = [
     "InvalidationWorker",
     "LogTailer",
     "PipelineMetrics",
-    "ShardBatch",
+    "RelationBatch",
     "StreamingInvalidationPipeline",
     "TailBatch",
-    "WorkerContext",
-    "WorkerPool",
-    "shard_for",
 ]

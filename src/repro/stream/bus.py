@@ -25,15 +25,20 @@ decouples delivery:
   and buses without a router keep the original broadcast semantics.
 
 Delivery order is FIFO per cache for healthy caches, which (together
-with relation-sharded workers upstream) preserves per-relation eject
+with the pipeline's in-order lane upstream) preserves per-relation eject
 ordering end to end.
+
+The bus has no thread of its own: whoever owns it calls :meth:`EjectBus.pump`
+— the pipeline after each tick's batches, the async gateway from its
+event loop — and :meth:`EjectBus.drain` pumps until nothing is
+outstanding.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -126,11 +131,8 @@ class _Order:
 
 
 class EjectBus:
-    """Asynchronous fan-out of eject messages to registered caches.
-
-    Run it with :meth:`start`/:meth:`stop` (a daemon thread), or drive it
-    deterministically from tests via :meth:`pump`.
-    """
+    """Fan-out of eject messages to registered caches, driven by
+    :meth:`pump` on the owner's thread."""
 
     def __init__(
         self,
@@ -143,8 +145,6 @@ class EjectBus:
         breaker_cooldown: float = 0.1,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        import time
-
         self.metrics = metrics or PipelineMetrics()
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
@@ -155,37 +155,29 @@ class EjectBus:
         self._clock = clock or time.monotonic
         self._targets: Dict[str, CacheTarget] = {}
         self._router: Optional[Callable[[str], Optional[Sequence[str]]]] = None
-        self._lock = threading.Lock()
-        self._wake = threading.Event()
         self._orders: "deque[_Order]" = deque()
         self._queued_urls: Dict[str, _Order] = {}
         self._retries: List[Tuple[float, int, _Delivery]] = []
         self._retry_seq = itertools.count()
         self._outstanding = 0
         self.dead_letters: List[DeadLetter] = []
-        self._thread: Optional[threading.Thread] = None
-        self._running = False
 
     # -- registration -----------------------------------------------------------
 
     def register(self, name: str, cache: object) -> CacheTarget:
         """Attach a cache under a unique name; returns its target record."""
-        with self._lock:
-            if name in self._targets:
-                raise ValueError(f"cache {name!r} already registered")
-            target = CacheTarget(
-                name=name,
-                cache=cache,
-                breaker=CircuitBreaker(
-                    self.breaker_threshold, self.breaker_cooldown
-                ),
-            )
-            self._targets[name] = target
-            return target
+        if name in self._targets:
+            raise ValueError(f"cache {name!r} already registered")
+        target = CacheTarget(
+            name=name,
+            cache=cache,
+            breaker=CircuitBreaker(self.breaker_threshold, self.breaker_cooldown),
+        )
+        self._targets[name] = target
+        return target
 
     def targets(self) -> List[CacheTarget]:
-        with self._lock:
-            return list(self._targets.values())
+        return list(self._targets.values())
 
     def set_router(
         self, router: Optional[Callable[[str], Optional[Sequence[str]]]]
@@ -198,8 +190,7 @@ class EjectBus:
         with the *current* ring — exactly the shard that will be probed
         for the page next.
         """
-        with self._lock:
-            self._router = router
+        self._router = router
 
     # -- publishing -------------------------------------------------------------
 
@@ -218,66 +209,41 @@ class EjectBus:
         """
         accepted = 0
         target_set = set(targets) if targets is not None else None
-        with self._lock:
-            for url_key in url_keys:
-                self.metrics.add(ejects_requested=1)
-                queued = self._queued_urls.get(url_key)
-                if queued is not None:
-                    if target_set is None:
-                        queued.targets = None
-                    elif queued.targets is not None:
-                        queued.targets |= target_set
-                    self.metrics.add(ejects_coalesced=1)
-                    continue
-                order = _Order(
-                    url_key=url_key,
-                    origin_ts=origin_ts,
-                    targets=set(target_set) if target_set is not None else None,
-                )
-                self._queued_urls[url_key] = order
-                self._orders.append(order)
-                self._outstanding += 1
-                accepted += 1
-        if accepted:
-            self._wake.set()
+        for url_key in url_keys:
+            self.metrics.add(ejects_requested=1)
+            queued = self._queued_urls.get(url_key)
+            if queued is not None:
+                if target_set is None:
+                    queued.targets = None
+                elif queued.targets is not None:
+                    queued.targets |= target_set
+                self.metrics.add(ejects_coalesced=1)
+                continue
+            order = _Order(
+                url_key=url_key,
+                origin_ts=origin_ts,
+                targets=set(target_set) if target_set is not None else None,
+            )
+            self._queued_urls[url_key] = order
+            self._orders.append(order)
+            self._outstanding += 1
+            accepted += 1
         return accepted
 
     @property
     def outstanding(self) -> int:
         """Eject orders plus pending deliveries not yet resolved."""
-        with self._lock:
-            return self._outstanding
+        return self._outstanding
 
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._run, name="eject-bus", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, flush: bool = True, timeout: float = 5.0) -> None:
-        if flush:
-            self.drain(timeout=timeout)
-        self._running = False
-        self._wake.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None
+    # -- delivery --------------------------------------------------------------
 
     def drain(self, timeout: float = 5.0) -> bool:
-        """Block until every published eject is resolved (or timeout)."""
-        import time
-
+        """Pump until every published eject is resolved (or timeout)."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if self.outstanding == 0:
                 return True
-            if not self._running:
-                self.pump()
+            self.pump()
             time.sleep(0.001)
         return self.outstanding == 0
 
@@ -290,56 +256,30 @@ class EjectBus:
         work and *yields* between checks instead of sleeping the thread.
         """
         import asyncio
-        import time
 
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if self.outstanding == 0:
                 return True
-            if not self._running:
-                self.pump()
+            self.pump()
             await asyncio.sleep(interval)
         return self.outstanding == 0
 
-    # -- the delivery loop -----------------------------------------------------------
-
-    def _run(self) -> None:
-        while self._running:
-            next_due = self.pump()
-            with self._lock:
-                has_orders = bool(self._orders)
-            if has_orders:
-                continue
-            now = self._clock()
-            wait = 0.05 if next_due is None else max(0.0, min(next_due - now, 0.05))
-            self._wake.wait(timeout=wait if wait > 0 else 0.001)
-            self._wake.clear()
-
     def pump(self) -> Optional[float]:
-        """Process all currently-due work; returns the next retry due time.
-
-        Public so tests (and the synchronous pipeline mode) can drive the
-        bus without a thread.
-        """
+        """Process all currently-due work; returns the next retry due time."""
         now = self._clock()
         # 1. due retries, oldest due first
-        while True:
-            with self._lock:
-                if not self._retries or self._retries[0][0] > now:
-                    break
-                _due, _seq, delivery = heapq.heappop(self._retries)
+        while self._retries and self._retries[0][0] <= now:
+            _due, _seq, delivery = heapq.heappop(self._retries)
             self._attempt(delivery)
             now = self._clock()
         # 2. fresh orders, FIFO
-        while True:
-            with self._lock:
-                if not self._orders:
-                    break
-                order = self._orders.popleft()
-                self._queued_urls.pop(order.url_key, None)
-                targets = self._resolve_targets(order)
-                # one order becomes one delivery per resolved target
-                self._outstanding += len(targets) - 1
+        while self._orders:
+            order = self._orders.popleft()
+            self._queued_urls.pop(order.url_key, None)
+            targets = self._resolve_targets(order)
+            # one order becomes one delivery per resolved target
+            self._outstanding += len(targets) - 1
             if not targets:
                 continue
             for target in targets:
@@ -350,11 +290,10 @@ class EjectBus:
                         origin_ts=order.origin_ts,
                     )
                 )
-        with self._lock:
-            return self._retries[0][0] if self._retries else None
+        return self._retries[0][0] if self._retries else None
 
     def _resolve_targets(self, order: _Order) -> List[CacheTarget]:
-        """Fan one order out to its delivery targets (lock held).
+        """Fan one order out to its delivery targets.
 
         Explicit order targets win; otherwise the router (when installed)
         names the owners; otherwise every registered cache gets a copy.
@@ -411,14 +350,10 @@ class EjectBus:
         self.metrics.add(deliveries_ok=1, pages_removed=1 if removed else 0)
         if delivery.origin_ts is not None:
             self.metrics.record_eject_latency(self._clock() - delivery.origin_ts)
-        with self._lock:
-            self._outstanding -= 1
+        self._outstanding -= 1
 
     def _schedule(self, delivery: _Delivery, due: float) -> None:
-        with self._lock:
-            heapq.heappush(
-                self._retries, (due, next(self._retry_seq), delivery)
-            )
+        heapq.heappush(self._retries, (due, next(self._retry_seq), delivery))
 
     def _dead_letter(self, delivery: _Delivery, error: str) -> None:
         letter = DeadLetter(
@@ -429,9 +364,8 @@ class EjectBus:
         )
         delivery.target.dead_lettered += 1
         self.metrics.add(dead_letters=1)
-        with self._lock:
-            self.dead_letters.append(letter)
-            self._outstanding -= 1
+        self.dead_letters.append(letter)
+        self._outstanding -= 1
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -447,21 +381,20 @@ class EjectBus:
         targets).  Dead letters are carried across verbatim for operator
         replay.
         """
-        with self._lock:
-            undelivered: "dict[str, None]" = {}  # insertion-ordered set
-            for order in self._orders:
-                undelivered.setdefault(order.url_key)
-            for _due, _seq, delivery in sorted(self._retries):
-                undelivered.setdefault(delivery.url_key)
-            dead_letters = [
-                {
-                    "url_key": letter.url_key,
-                    "cache_name": letter.cache_name,
-                    "attempts": letter.attempts,
-                    "error": letter.error,
-                }
-                for letter in self.dead_letters
-            ]
+        undelivered: "dict[str, None]" = {}  # insertion-ordered set
+        for order in self._orders:
+            undelivered.setdefault(order.url_key)
+        for _due, _seq, delivery in sorted(self._retries):
+            undelivered.setdefault(delivery.url_key)
+        dead_letters = [
+            {
+                "url_key": letter.url_key,
+                "cache_name": letter.cache_name,
+                "attempts": letter.attempts,
+                "error": letter.error,
+            }
+            for letter in self.dead_letters
+        ]
         return {"undelivered": list(undelivered), "dead_letters": dead_letters}
 
     def restore_state(self, data: Dict) -> int:
@@ -475,16 +408,14 @@ class EjectBus:
             )
             for spec in data.get("dead_letters", [])
         ]
-        with self._lock:
-            self.dead_letters = letters
+        self.dead_letters = letters
         return self.publish(data.get("undelivered", []))
 
     # -- operator tools -----------------------------------------------------------
 
     def replay_dead_letters(self) -> int:
         """Re-queue every dead letter as a fresh order; returns how many."""
-        with self._lock:
-            letters, self.dead_letters = self.dead_letters, []
+        letters, self.dead_letters = self.dead_letters, []
         for letter in letters:
             self.publish([letter.url_key])
         return len(letters)

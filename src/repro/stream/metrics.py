@@ -1,27 +1,25 @@
 """Pipeline observability: counters, gauges, and the ``stats()`` snapshot.
 
 Every moving part of the streaming pipeline reports here — the tailer
-(records consumed, replication lag), the shard workers (batches, verdict
-mix, poll-budget utilization), and the eject bus (deliveries, retries,
-dead letters).  All mutation goes through one lock so a snapshot taken
-mid-flight is internally consistent.
+(records consumed, replication lag), the lane (batches, verdict mix,
+poll-budget utilization), and the eject bus (deliveries, retries, dead
+letters).  The pipeline runs on one thread, so the counters are plain
+attributes.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, List, Optional
+import time
+from typing import Callable, Dict, Optional
 
 
 class PipelineMetrics:
-    """Thread-safe metric store for one pipeline instance."""
+    """Metric store for one pipeline instance."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        import time
-
         self._clock = clock or time.monotonic
-        self._lock = threading.Lock()
-        self.started_at: Optional[float] = None
+        #: Origin of the ejects-per-second rate.
+        self.started_at = self._clock()
         # tailer
         self.records_tailed = 0
         self.batches_tailed = 0
@@ -75,128 +73,90 @@ class PipelineMetrics:
 
     # -- recording ----------------------------------------------------------
 
-    def mark_started(self) -> None:
-        with self._lock:
-            if self.started_at is None:
-                self.started_at = self._clock()
-
     def add(self, **counters: int) -> None:
         """Bump any counter attributes by name (must already exist)."""
-        with self._lock:
-            for name, amount in counters.items():
-                setattr(self, name, getattr(self, name) + amount)
+        for name, amount in counters.items():
+            setattr(self, name, getattr(self, name) + amount)
 
     def record_eject_latency(self, seconds: float) -> None:
-        with self._lock:
-            self._eject_latency_total += seconds
-            self._eject_latency_count += 1
-            self._eject_latency_max = max(self._eject_latency_max, seconds)
+        self._eject_latency_total += seconds
+        self._eject_latency_count += 1
+        self._eject_latency_max = max(self._eject_latency_max, seconds)
 
-    # -- derived ----------------------------------------------------------
-
-    @property
-    def mean_eject_latency(self) -> float:
-        with self._lock:
-            if not self._eject_latency_count:
-                return 0.0
-            return self._eject_latency_total / self._eject_latency_count
-
-    @property
-    def poll_budget_utilization(self) -> float:
-        """Executed polls over offered poll slots (1.0 = budget saturated)."""
-        with self._lock:
-            if not self.poll_slots_offered:
-                return 0.0
-            return self.polls_executed / self.poll_slots_offered
-
-    def ejects_per_second(self) -> float:
-        with self._lock:
-            if self.started_at is None:
-                return 0.0
-            elapsed = self._clock() - self.started_at
-            if elapsed <= 0.0:
-                return 0.0
-            return self.deliveries_ok / elapsed
+    # -- snapshot ---------------------------------------------------------
 
     def snapshot(
         self,
         lag_records: int = 0,
-        queue_depths: Optional[List[int]] = None,
         bus_outstanding: int = 0,
     ) -> Dict[str, object]:
         """One coherent dict of everything, for dashboards and the CLI."""
-        with self._lock:
-            latency_mean = (
-                self._eject_latency_total / self._eject_latency_count
-                if self._eject_latency_count
-                else 0.0
-            )
-            utilization = (
-                self.polls_executed / self.poll_slots_offered
-                if self.poll_slots_offered
-                else 0.0
-            )
-            elapsed = (
-                self._clock() - self.started_at
-                if self.started_at is not None
-                else 0.0
-            )
-            return {
-                "tailer": {
-                    "records_tailed": self.records_tailed,
-                    "batches_tailed": self.batches_tailed,
-                    "lag_records": lag_records,
-                    "truncations": self.truncations,
-                },
-                "workers": {
-                    "queue_depths": list(queue_depths or []),
-                    "batches_processed": self.batches_processed,
-                    "records_processed": self.records_processed,
-                    "duplicates_skipped": self.duplicate_records_skipped,
-                    "pairs_checked": self.pairs_checked,
-                    "unaffected": self.unaffected,
-                    "affected": self.affected,
-                    "pairs_pruned": self.pairs_pruned,
-                    "index_probes": self.index_probes,
-                    "probe_time_ms": round(self.probe_time_ms, 3),
-                    "polls_requested": self.polls_requested,
-                    "polls_executed": self.polls_executed,
-                    "polls_impacted": self.polls_impacted,
-                    "batched_queries": self.batched_queries,
-                    "batched_instances": self.batched_instances,
-                    "demux_misses": self.demux_misses,
-                    "poll_round_trips_saved": max(
-                        0, self.batched_instances - self.batched_queries
-                    ),
-                    "over_invalidated": self.over_invalidated,
-                    "fallback_ejects": self.fallback_ejects,
-                    "poll_only_checks": self.poll_only_checks,
-                    "version_key_checks": self.version_key_checks,
-                    "polls_avoided": self.polls_avoided,
-                    "static_disjoint_skips": self.static_disjoint_skips,
-                    "template_pairs_pruned": self.template_pairs_pruned,
-                    "poll_budget_utilization": round(utilization, 4),
-                },
-                "bus": {
-                    "ejects_requested": self.ejects_requested,
-                    "ejects_coalesced": self.ejects_coalesced,
-                    "ejects_routed": self.ejects_routed,
-                    "ejects_broadcast": self.ejects_broadcast,
-                    "routed_deliveries_saved": self.routed_deliveries_saved,
-                    "routing_unknown_targets": self.routing_unknown_targets,
-                    "outstanding": bus_outstanding,
-                    "deliveries_ok": self.deliveries_ok,
-                    "deliveries_failed": self.deliveries_failed,
-                    "retries": self.retries,
-                    "dead_letters": self.dead_letters,
-                    "breaker_opens": self.breaker_opens,
-                    "pages_removed": self.pages_removed,
-                    "ejects_per_second": round(
-                        self.deliveries_ok / elapsed if elapsed > 0 else 0.0, 2
-                    ),
-                    "eject_latency_mean_ms": round(1000.0 * latency_mean, 3),
-                    "eject_latency_max_ms": round(
-                        1000.0 * self._eject_latency_max, 3
-                    ),
-                },
-            }
+        latency_mean = (
+            self._eject_latency_total / self._eject_latency_count
+            if self._eject_latency_count
+            else 0.0
+        )
+        utilization = (
+            self.polls_executed / self.poll_slots_offered
+            if self.poll_slots_offered
+            else 0.0
+        )
+        elapsed = self._clock() - self.started_at
+        return {
+            "tailer": {
+                "records_tailed": self.records_tailed,
+                "batches_tailed": self.batches_tailed,
+                "lag_records": lag_records,
+                "truncations": self.truncations,
+            },
+            "workers": {
+                "batches_processed": self.batches_processed,
+                "records_processed": self.records_processed,
+                "duplicates_skipped": self.duplicate_records_skipped,
+                "pairs_checked": self.pairs_checked,
+                "unaffected": self.unaffected,
+                "affected": self.affected,
+                "pairs_pruned": self.pairs_pruned,
+                "index_probes": self.index_probes,
+                "probe_time_ms": round(self.probe_time_ms, 3),
+                "polls_requested": self.polls_requested,
+                "polls_executed": self.polls_executed,
+                "polls_impacted": self.polls_impacted,
+                "batched_queries": self.batched_queries,
+                "batched_instances": self.batched_instances,
+                "demux_misses": self.demux_misses,
+                "poll_round_trips_saved": max(
+                    0, self.batched_instances - self.batched_queries
+                ),
+                "over_invalidated": self.over_invalidated,
+                "fallback_ejects": self.fallback_ejects,
+                "poll_only_checks": self.poll_only_checks,
+                "version_key_checks": self.version_key_checks,
+                "polls_avoided": self.polls_avoided,
+                "static_disjoint_skips": self.static_disjoint_skips,
+                "template_pairs_pruned": self.template_pairs_pruned,
+                "poll_budget_utilization": round(utilization, 4),
+            },
+            "bus": {
+                "ejects_requested": self.ejects_requested,
+                "ejects_coalesced": self.ejects_coalesced,
+                "ejects_routed": self.ejects_routed,
+                "ejects_broadcast": self.ejects_broadcast,
+                "routed_deliveries_saved": self.routed_deliveries_saved,
+                "routing_unknown_targets": self.routing_unknown_targets,
+                "outstanding": bus_outstanding,
+                "deliveries_ok": self.deliveries_ok,
+                "deliveries_failed": self.deliveries_failed,
+                "retries": self.retries,
+                "dead_letters": self.dead_letters,
+                "breaker_opens": self.breaker_opens,
+                "pages_removed": self.pages_removed,
+                "ejects_per_second": round(
+                    self.deliveries_ok / elapsed if elapsed > 0 else 0.0, 2
+                ),
+                "eject_latency_mean_ms": round(1000.0 * latency_mean, 3),
+                "eject_latency_max_ms": round(
+                    1000.0 * self._eject_latency_max, 3
+                ),
+            },
+        }

@@ -1,19 +1,25 @@
-"""The streaming invalidation pipeline: tailer → shard workers → eject bus.
+"""The streaming invalidation pipeline: tailer → lane → eject bus.
 
 The synchronous :class:`~repro.core.invalidator.invalidator.Invalidator`
 processes each synchronization point as one blocking pass.  The pipeline
 runs the same decision — the tiers, cascade and poll phase of
-:mod:`repro.core.invalidator.decide` — as a continuously-running system:
+:mod:`repro.core.invalidator.decide` — incrementally, as one ordered
+consumer driven from the caller's thread:
 
 * a :class:`~repro.stream.tailer.LogTailer` consumes the update log in
   bounded batches with a resumable offset;
-* a pump thread ingests new QI/URL rows, routes each relation's changes
-  to its shard worker (per-relation ordering preserved), and applies the
-  result-cache daemon hook of §4.3;
-* :class:`~repro.stream.workers.InvalidationWorker` threads run the
-  shared cascade and budgeted polling per shard, one lane each;
+* :meth:`StreamingInvalidationPipeline.pump_once` ingests new QI/URL
+  rows, tails one batch, groups it by relation (per-relation order
+  preserved), and applies the result-cache daemon hook of §4.3;
+* one :class:`~repro.stream.workers.InvalidationWorker` runs the shared
+  cascade and budgeted polling on each relation batch;
 * an :class:`~repro.stream.bus.EjectBus` coalesces and delivers the
   ``Cache-Control: eject`` messages, absorbing cache faults.
+
+:meth:`~StreamingInvalidationPipeline.process_available` is the tick (the
+gateway and the benchmark call it on their serving loop);
+:meth:`~StreamingInvalidationPipeline.drain` repeats it until the log is
+at its head and the bus has nothing outstanding.
 
 The update-loss safety valve is shared with the synchronous path: when
 the bounded log truncates past the tailer's offset, every watched page
@@ -21,12 +27,10 @@ is flushed.
 
 Typical use::
 
-    pipeline = StreamingInvalidationPipeline.for_portal(portal, num_shards=4)
-    pipeline.start()
+    pipeline = StreamingInvalidationPipeline.for_portal(portal)
     ...                      # site serves traffic, updates commit
     pipeline.drain()         # all known changes invalidated
     print(pipeline.stats())
-    pipeline.stop()
 
 While a pipeline drives invalidation, do not also call
 ``portal.run_invalidation_cycle()`` — both consume the same QI/URL map
@@ -35,11 +39,11 @@ cursor and update log.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
+from collections import deque
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from repro.db.engine import Database
 from repro.core import recovery
@@ -49,11 +53,11 @@ from repro.core.invalidator.policies import InvalidationPolicy
 from repro.stream.bus import EjectBus
 from repro.stream.metrics import PipelineMetrics
 from repro.stream.tailer import LogTailer
-from repro.stream.workers import ShardBatch, WorkerContext, WorkerPool
+from repro.stream.workers import InvalidationWorker, RelationBatch
 
 
 class StreamingInvalidationPipeline:
-    """Concurrent CachePortal invalidation over one database.
+    """CachePortal invalidation over one database, one ordered consumer.
 
     Args:
         database: the origin DBMS whose update log is tailed.
@@ -61,8 +65,7 @@ class StreamingInvalidationPipeline:
             more can be attached later via :meth:`register_cache`.
         qiurl_map: the sniffer's QI/URL map (a private one is created
             when omitted — useful for registry-only tests).
-        num_shards: worker count; relations hash onto shards.
-        polling_budget: per shard per batch-cycle poll budget (§4.2.2).
+        polling_budget: per relation batch poll budget (§4.2.2).
         batch_size: tailer read bound (the pipeline's buffering limit).
         start_lsn: resume offset; ``None`` starts at the current head.
         pre_ingest: hook run at each pump iteration *before* tailing —
@@ -76,18 +79,15 @@ class StreamingInvalidationPipeline:
         caches: Sequence[object] = (),
         qiurl_map: Optional[QIURLMap] = None,
         *,
-        num_shards: int = 4,
         policy: Optional[InvalidationPolicy] = None,
         polling_budget: Optional[int] = None,
         batch_size: int = 256,
         start_lsn: Optional[int] = None,
-        queue_capacity: int = 64,
         safety_enforcement: bool = True,
         version_keys: bool = True,
         conflict_matrix: bool = True,
         servlet_deadline: Optional[Callable[[str], float]] = None,
         pre_ingest: Optional[Callable[[], object]] = None,
-        idle_sleep: float = 0.002,
         bus: Optional[EjectBus] = None,
         metrics: Optional[PipelineMetrics] = None,
     ) -> None:
@@ -97,8 +97,8 @@ class StreamingInvalidationPipeline:
         self.tailer = LogTailer(
             database.update_log, batch_size=batch_size, start_lsn=start_lsn
         )
-        # Version-key counters are bumped by the pump before batches
-        # dispatch; new fast-path instances are stamped with its cursor.
+        # Version-key counters are bumped by the pump before batches are
+        # decided; new fast-path instances are stamped with its cursor.
         self.tiers = build_tiers(
             database,
             self.qiurl_map,
@@ -119,27 +119,19 @@ class StreamingInvalidationPipeline:
         self.conflict_matrix = tiers.conflict_matrix
         self.pred_index = tiers.pred_index
         self.version_index = tiers.version_index
-        self.registry_lock = threading.RLock()
-        self.db_lock = threading.Lock()
         self.bus = bus or EjectBus(metrics=self.metrics)
         if bus is not None:
             self.bus.metrics = self.metrics
         for index, cache in enumerate(caches):
             self.bus.register(f"cache{index}", cache)
-        self.context = WorkerContext(
-            tiers, self.registry_lock, self.db_lock, self.bus
-        )
-        self.pool = WorkerPool(
-            num_shards,
-            self.context,
-            self.metrics,
-            queue_capacity=queue_capacity,
-        )
+        self.worker = InvalidationWorker(tiers, self.bus, self.metrics)
+        # bench/trace.py wraps process_batch on every member of
+        # pool.workers; the pipeline has exactly one.
+        self.pool = SimpleNamespace(workers=[self.worker])
+        #: Relation batches the last pump tailed, not yet decided.
+        self._batches: Deque[RelationBatch] = deque()
         self.pre_ingest = pre_ingest
-        self.idle_sleep = idle_sleep
         self._clock = time.monotonic
-        self._pump_thread: Optional[threading.Thread] = None
-        self._running = False
 
     # -- construction helpers --------------------------------------------------
 
@@ -184,28 +176,25 @@ class StreamingInvalidationPipeline:
 
     def register_query_type(self, template_sql: str, name: Optional[str] = None):
         """Offline registration of a known query type (§4.1.1)."""
-        with self.registry_lock:
-            return self.registration.register_query_type(template_sql, name)
+        return self.registration.register_query_type(template_sql, name)
 
     # -- checkpoint / recovery -------------------------------------------------
 
     def checkpoint(self, path: Union[str, Path]) -> str:
         """Persist the pipeline's durable state (QI/URL map, registry,
         tailer LSN cursor, undelivered ejects + dead letters) atomically;
-        returns the snapshot checksum.  Safe to call while running —
-        state reads take the same locks the workers do.
+        returns the snapshot checksum.
         """
         if self.pre_ingest is not None:
             self.pre_ingest()
-        with self.registry_lock:
-            self.registration.scan(self.qiurl_map.read_new())
-            payload = recovery.snapshot_pipeline(self)
+        self.registration.scan(self.qiurl_map.read_new())
+        payload = recovery.snapshot_pipeline(self)
         return recovery.write_checkpoint(path, payload)
 
     def restore(
         self, path: Union[str, Path], reconcile_caches: bool = True
     ) -> "recovery.RecoveryReport":
-        """Reload a checkpoint into this (not yet started) pipeline.
+        """Reload a checkpoint into this (not yet pumped) pipeline.
 
         The registry replays through its listeners, so the predicate
         index is rebuilt from the restored instances rather than
@@ -220,70 +209,19 @@ class StreamingInvalidationPipeline:
         report.path = str(path)
         return report
 
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.metrics.mark_started()
-        self.bus.start()
-        self.pool.start()
-        self._pump_thread = threading.Thread(
-            target=self._pump_loop, name="stream-pump", daemon=True
-        )
-        self._pump_thread.start()
-
-    def stop(self, flush: bool = True, timeout: float = 10.0) -> None:
-        if flush and self._running:
-            self.drain(timeout=timeout)
-        self._running = False
-        if self._pump_thread is not None:
-            self._pump_thread.join(timeout=timeout)
-            self._pump_thread = None
-        self.pool.stop(timeout=timeout)
-        self.bus.stop(flush=flush, timeout=timeout)
-
-    def drain(self, timeout: float = 10.0) -> bool:
-        """Block until every change appended so far is fully invalidated:
-        log tailed to head, shard queues empty, eject bus settled."""
-        deadline = self._clock() + timeout
-        while self._clock() < deadline:
-            if (
-                self.tailer.at_head()
-                and self.pool.idle()
-                and self.bus.outstanding == 0
-            ):
-                return True
-            if not self._running:
-                self.process_available()
-            else:
-                time.sleep(0.001)
-        return (
-            self.tailer.at_head()
-            and self.pool.idle()
-            and self.bus.outstanding == 0
-        )
-
     # -- the pump -------------------------------------------------------------
 
-    def _pump_loop(self) -> None:
-        while self._running:
-            moved = self.pump_once()
-            if not moved:
-                time.sleep(self.idle_sleep)
-
     def pump_once(self) -> bool:
-        """One pump iteration; returns True when any work was dispatched."""
+        """One pump iteration: ingest, tail one batch and queue its
+        relation batches for :meth:`process_available`.  Returns True
+        when any work was queued."""
         if self.pre_ingest is not None:
             self.pre_ingest()
-        with self.registry_lock:
-            self.registration.scan(self.qiurl_map.read_new())
-        # Fingerprint new POLL_ONLY instances before dispatching their
-        # first batch.  The previous baseline may only be promoted to
-        # trusted once no worker still holds records from older batches.
-        with self.db_lock:
-            self.safety.prepare_cycle(promote=self.pool.idle())
+        self.registration.scan(self.qiurl_map.read_new())
+        # Fingerprint new POLL_ONLY instances before their first batch is
+        # decided.  The previous baseline may only be promoted to trusted
+        # once no records from older batches remain undecided.
+        self.safety.prepare_cycle(promote=not self._batches)
         batch = self.tailer.poll()
         if batch.lost:
             self.metrics.add(truncations=1)
@@ -298,61 +236,46 @@ class StreamingInvalidationPipeline:
         deltas = batch.deltas()
         if self.version_index is not None:
             # Bump-before-check: counters must reflect this batch before
-            # any worker examines one of its (instance, record) pairs.
+            # any of its (instance, record) pairs is examined.
             self.version_index.observe(batch.records)
-        changed = set(deltas.tables())
         # §4.3 daemon hook: stale polling results for changed tables must
-        # be dropped before any worker polls on this batch's behalf.
-        with self.db_lock:
-            self.infomgmt.on_cycle_deltas(changed)
+        # be dropped before anything polls on this batch's behalf.
+        self.infomgmt.on_cycle_deltas(set(deltas.tables()))
         for table in deltas.tables():
-            self.pool.submit(
-                ShardBatch(
+            self._batches.append(
+                RelationBatch(
                     table=table,
                     records=deltas.changes_for(table),
                     origin_ts=now,
                 )
             )
         # Policy discovery (§4.1.4) rides along at batch granularity.
-        with self.registry_lock:
-            self.policy_engine.discover(self.registry)
+        self.policy_engine.discover(self.registry)
         return True
 
     def _flush_everything(self) -> List[str]:
         """Update-loss safety valve: eject every watched page."""
-        with self.registry_lock:
-            urls = self.tiers.flush_all(self.tailer.cursor)
+        urls = self.tiers.flush_all(self.tailer.cursor)
         if urls:
             self.bus.publish(urls, origin_ts=self._clock())
         return urls
 
-    # -- synchronous mode -------------------------------------------------------
-
     def process_available(self, max_batches: int = 1_000_000) -> int:
-        """Deterministic, threadless pump: tail, analyze, and deliver
-        everything currently available in the caller's thread.
+        """Tail, decide and deliver everything currently available, on
+        the caller's thread; returns records processed.
 
-        Used by tests and small scripts; the threaded path (:meth:`start`)
-        is the production shape.  Returns records processed.
+        Each pump's relation batches are decided in log order, then the
+        bus is pumped (waiting out retry backoff) until nothing is
+        outstanding.
         """
         processed = 0
         for _ in range(max_batches):
             moved = self.pump_once()
-            # run whatever the pump routed, inline, in shard order
-            for worker in self.pool.workers:
-                while True:
-                    try:
-                        item = worker.queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if item is worker._SENTINEL:  # pragma: no cover - defensive
-                        continue
-                    try:
-                        processed += len(item.records)
-                        worker.process_batch(item)
-                    finally:
-                        with worker._inflight_lock:
-                            worker._inflight -= 1
+            while self._batches:
+                batch = self._batches.popleft()
+                processed += len(batch.records)
+                # Looked up per call: bench/trace.py wraps it on the worker.
+                self.worker.process_batch(batch)
             while self.bus.outstanding:
                 next_due = self.bus.pump()
                 if self.bus.outstanding and next_due is not None:
@@ -363,6 +286,18 @@ class StreamingInvalidationPipeline:
                 break
         return processed
 
+    def drain(self, timeout: float = 10.0) -> bool:
+        """Block until every change appended so far is fully invalidated:
+        log tailed to head and eject bus settled.  Returns False when
+        changes still arrive at ``timeout``."""
+        deadline = self._clock() + timeout
+        while True:
+            self.process_available()
+            if self.tailer.at_head() and self.bus.outstanding == 0:
+                return True
+            if self._clock() >= deadline:
+                return False
+
     # -- observability -----------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
@@ -370,47 +305,38 @@ class StreamingInvalidationPipeline:
         CLI renders exactly this)."""
         snapshot = self.metrics.snapshot(
             lag_records=self.tailer.lag,
-            queue_depths=self.pool.queue_depths(),
             bus_outstanding=self.bus.outstanding,
         )
-        with self.registry_lock:
-            snapshot["registry"] = dict(
-                self.registry.stats(), map_rows=len(self.qiurl_map)
-            )
-            snapshot["predicate_index"] = self.pred_index.stats()
-            # Safety observability: derived from the live registry, so it
-            # is computed here rather than accumulated in the metrics.
-            snapshot["workers"].update(self.tiers.registry_counts())
-            snapshot["safety"] = self.safety.stats()
-            if self.version_index is not None:
-                snapshot["version_keys"] = self.version_index.stats()
-            if self.conflict_matrix is not None:
-                snapshot["conflict_matrix"] = self.conflict_matrix.stats()
+        snapshot["registry"] = dict(
+            self.registry.stats(), map_rows=len(self.qiurl_map)
+        )
+        snapshot["predicate_index"] = self.pred_index.stats()
+        # Safety observability: derived from the live registry, so it is
+        # computed here rather than accumulated in the metrics.
+        snapshot["workers"].update(self.tiers.registry_counts())
+        snapshot["safety"] = self.safety.stats()
+        if self.version_index is not None:
+            snapshot["version_keys"] = self.version_index.stats()
+        if self.conflict_matrix is not None:
+            snapshot["conflict_matrix"] = self.conflict_matrix.stats()
         snapshot["tailer"]["cursor"] = self.tailer.cursor
         snapshot["tailer"]["last_lost_range"] = (
             list(self.tailer.last_lost_range)
             if self.tailer.last_lost_range is not None
             else None
         )
-        snapshot["shards"] = [
-            {
-                "shard": worker.shard_id,
-                "batches": worker.batches_processed,
-                "records": worker.records_processed,
-                "scheduler_cycles": worker.lane.scheduler.cycles,
-                "over_invalidated": worker.lane.scheduler.total_over_invalidated,
-                "budget_utilization": round(
-                    worker.lane.scheduler.budget_utilization, 4
-                ),
-            }
-            for worker in self.pool.workers
-        ]
+        scheduler = self.worker.lane.scheduler
+        snapshot["lane"] = {
+            "scheduler_cycles": scheduler.cycles,
+            "over_invalidated": scheduler.total_over_invalidated,
+            "budget_utilization": round(scheduler.budget_utilization, 4),
+        }
         snapshot["dead_letters"] = [
             {
                 "url": letter.url_key,
                 "cache": letter.cache_name,
                 "attempts": letter.attempts,
             }
-            for letter in list(self.bus.dead_letters)
+            for letter in self.bus.dead_letters
         ]
         return snapshot

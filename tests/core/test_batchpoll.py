@@ -413,9 +413,7 @@ class TestStreamingParity:
         cache = WebCache()
         qiurl = QIURLMap()
         if batched:
-            consumer = StreamingInvalidationPipeline(
-                db, [cache], qiurl, num_shards=2
-            )
+            consumer = StreamingInvalidationPipeline(db, [cache], qiurl)
         else:
             consumer = ReferenceInvalidator(Invalidator(db, [cache], qiurl))
         for i, epa in enumerate((0, 10, 20, 30, 40, 50)):

@@ -7,8 +7,6 @@ the same updates must eject the same pages and count the same decisions,
 with every tier on and with each A/B toggle off in turn.
 """
 
-import queue
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,9 +98,7 @@ def build(arm, streaming):
     site = build_site(Configuration.WEB_CACHE, servlets(), database=db)
     portal = CachePortal(site)
     if streaming:
-        pipeline = StreamingInvalidationPipeline.for_portal(
-            portal, num_shards=1, **arm
-        )
+        pipeline = StreamingInvalidationPipeline.for_portal(portal, **arm)
         return site, pipeline
     portal.invalidator = Invalidator(
         site.database,
@@ -239,14 +235,14 @@ def test_streamed_eject_records_invalidation_time():
     assert stats.max_invalidation_time > 0.0
 
 
-def test_process_available_propagates_queue_errors():
+def test_process_available_propagates_batch_errors():
     site, pipeline = build({}, streaming=True)
     worker = pipeline.pool.workers[0]
 
-    class Broken(queue.Queue):
-        def get_nowait(self):
-            raise RuntimeError("queue is broken")
+    def broken(batch):
+        raise RuntimeError("batch is broken")
 
-    worker.queue = Broken()
-    with pytest.raises(RuntimeError, match="queue is broken"):
+    worker.process_batch = broken
+    site.database.execute("INSERT INTO car VALUES ('Kia', 'Rio', 12000)")
+    with pytest.raises(RuntimeError, match="batch is broken"):
         pipeline.process_available()

@@ -178,3 +178,60 @@ class TestInvalidatorIntegration:
             return sorted(cache.keys())
 
         assert run(grouped=True) == run(grouped=False)
+
+
+class TestBoundMemo:
+    """The checker's per-instance bound conditions follow the registry:
+    a dropped instance leaves the memo, so it holds live instances only."""
+
+    PAGES = 12
+
+    @staticmethod
+    def _consumer(kind):
+        """(database, consumer, its tick, its lanes) for one consumer."""
+        from repro.core import Invalidator
+        from repro.core.qiurl import QIURLMap
+        from repro.db.engine import Database
+        from repro.stream import StreamingInvalidationPipeline
+        from repro.web.cache import WebCache
+
+        db = Database()
+        db.execute("CREATE TABLE item (price INT, qty INT)")
+        # Without version keys every candidate pair reaches the checker.
+        if kind == "sync":
+            invalidator = Invalidator(
+                db, [WebCache()], QIURLMap(), version_keys=False
+            )
+            return db, invalidator, invalidator.run_cycle, [invalidator.lane]
+        pipeline = StreamingInvalidationPipeline(
+            db, [WebCache()], version_keys=False
+        )
+        lanes = [worker.lane for worker in pipeline.pool.workers]
+        return db, pipeline, pipeline.process_available, lanes
+
+    @pytest.mark.parametrize("kind", ["sync", "stream"])
+    def test_dropped_instances_leave_the_memo(self, kind):
+        db, consumer, tick, lanes = self._consumer(kind)
+        registry = consumer.registry
+        for step in range(self.PAGES):
+            registry.observe_instance(
+                f"SELECT qty FROM item WHERE price = {step} AND qty > 5",
+                f"/item/{step}",
+            )
+        # Even pages are affected (ejected, then dropped); odd ones are
+        # checked, proven unaffected, and stay registered.
+        for step in range(self.PAGES):
+            qty = 10 if step % 2 == 0 else 1
+            db.execute(f"INSERT INTO item VALUES ({step}, {qty})")
+        tick()
+
+        def memo_keys():
+            return {key for lane in lanes for key in lane.grouped_checker._bound}
+
+        live = {instance.instance_id for instance in registry.instances()}
+        assert len(live) == self.PAGES // 2
+        assert memo_keys() and memo_keys() <= live
+        for step in range(1, self.PAGES, 2):
+            registry.drop_url(f"/item/{step}")
+        assert len(registry) == 0
+        assert memo_keys() == set()

@@ -382,7 +382,7 @@ class TestCycleEquivalence:
 
         db, cache, pipeline = self._build(
             lambda db, cache, qiurl: StreamingInvalidationPipeline(
-                db, [cache], qiurl, num_shards=2
+                db, [cache], qiurl
             )
         )
         twin_db, twin_cache, twin = self._build(

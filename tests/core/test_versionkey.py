@@ -306,7 +306,6 @@ class TestStreamingParity:
             db,
             [cache],
             qiurl,
-            num_shards=2,
             version_keys=version_keys,
         )
         for i, threshold in enumerate((1000, 2000, 20000, 50000)):

@@ -173,18 +173,6 @@ class TestCircuitBreaker:
         assert flaky.messages_failed == 1
 
 
-class TestThreadedBus:
-    def test_start_stop_flushes(self):
-        bus = EjectBus(backoff_base=0.001)
-        cache = filled_cache("/a", "/b", "/c")
-        bus.register("a", cache)
-        bus.start()
-        bus.publish(["/a", "/b", "/c"])
-        bus.stop(flush=True)
-        assert len(cache) == 0
-        assert bus.metrics.deliveries_ok == 3
-
-
 class TestCheckpointing:
     def test_snapshot_captures_undelivered_orders(self):
         bus = EjectBus()

@@ -7,22 +7,23 @@ import pytest
 from helpers import car_servlets, make_car_db
 from repro import CachePortal, Configuration, Database, build_site
 from repro.web.cache import FlakyCache, WebCache
-from repro.stream import StreamingInvalidationPipeline, shard_for
+from repro.stream import StreamingInvalidationPipeline
 
 
 class RecordingCache(WebCache):
-    """WebCache that logs the order eject messages arrive in."""
+    """WebCache that logs the order eject messages arrive in, and the
+    thread each arrived on."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.eject_sequence = []
-        self._log_lock = threading.Lock()
+        self.eject_threads = set()
 
     def handle_message(self, request, url_key):
         control = request.cache_control
         if control is not None and control.has("eject"):
-            with self._log_lock:
-                self.eject_sequence.append(url_key)
+            self.eject_sequence.append(url_key)
+            self.eject_threads.add(threading.current_thread())
         return super().handle_message(request, url_key)
 
 
@@ -113,41 +114,29 @@ class TestOrdering:
     NUM_RELATIONS = 6
     UPDATES_PER_RELATION = 15
 
-    def _build(self, num_shards):
+    def _build(self):
         db = Database()
         caches = [RecordingCache(), RecordingCache()]
-        pipeline = StreamingInvalidationPipeline(
-            db, caches, num_shards=num_shards, batch_size=7
-        )
+        pipeline = StreamingInvalidationPipeline(db, caches, batch_size=7)
         for rel in range(self.NUM_RELATIONS):
             db.execute(f"CREATE TABLE rel{rel} (price INT)")
             for step in range(self.UPDATES_PER_RELATION):
-                with pipeline.registry_lock:
-                    pipeline.registry.observe_instance(
-                        f"SELECT price FROM rel{rel} WHERE price = {step}",
-                        f"/rel{rel}/page{step:02d}",
-                    )
+                pipeline.registry.observe_instance(
+                    f"SELECT price FROM rel{rel} WHERE price = {step}",
+                    f"/rel{rel}/page{step:02d}",
+                )
         return db, caches, pipeline
 
-    def test_per_relation_order_preserved_under_four_workers(self):
-        """Acceptance: per-relation eject ordering with >= 4 concurrent
-        workers.  Updates to one relation interleave with five others,
-        but each relation's ejects must arrive in its own update order."""
-        num_shards = 4
-        db, caches, pipeline = self._build(num_shards)
-        # relations actually spread over several shards
-        shards_used = {
-            shard_for(f"rel{rel}", num_shards)
-            for rel in range(self.NUM_RELATIONS)
-        }
-        assert len(shards_used) >= 2
-        pipeline.start()
+    def test_per_relation_order_preserved(self):
+        """Acceptance: per-relation eject ordering.  Updates to one
+        relation interleave with five others across tail batches, but
+        each relation's ejects must arrive in its own update order."""
+        db, caches, pipeline = self._build()
         # interleave updates round-robin across relations
         for step in range(self.UPDATES_PER_RELATION):
             for rel in range(self.NUM_RELATIONS):
                 db.execute(f"INSERT INTO rel{rel} VALUES ({step})")
         assert pipeline.drain(timeout=30.0)
-        pipeline.stop()
         for cache in caches:
             for rel in range(self.NUM_RELATIONS):
                 seen = [
@@ -162,13 +151,11 @@ class TestOrdering:
                 assert seen == expected, f"rel{rel} ejects out of order"
 
     def test_every_watched_page_ejected_exactly_once(self):
-        db, caches, pipeline = self._build(4)
-        pipeline.start()
+        db, caches, pipeline = self._build()
         for step in range(self.UPDATES_PER_RELATION):
             for rel in range(self.NUM_RELATIONS):
                 db.execute(f"INSERT INTO rel{rel} VALUES ({step})")
         assert pipeline.drain(timeout=30.0)
-        pipeline.stop()
         total = self.NUM_RELATIONS * self.UPDATES_PER_RELATION
         for cache in caches:
             assert len(cache.eject_sequence) == total
@@ -183,10 +170,7 @@ class TestFaultTolerance:
         db.execute("CREATE TABLE item (price INT)")
         healthy = WebCache()
         flaky = FlakyCache(fail_first=10**9)
-        pipeline = StreamingInvalidationPipeline(
-            db,
-            num_shards=4,
-        )
+        pipeline = StreamingInvalidationPipeline(db)
         pipeline.bus.max_attempts = 3
         pipeline.bus.backoff_base = 0.001
         pipeline.bus.breaker_threshold = 2
@@ -197,15 +181,12 @@ class TestFaultTolerance:
         for step in range(10):
             url = f"/item/{step}"
             urls.append(url)
-            with pipeline.registry_lock:
-                pipeline.registry.observe_instance(
-                    f"SELECT price FROM item WHERE price = {step}", url
-                )
-        pipeline.start()
+            pipeline.registry.observe_instance(
+                f"SELECT price FROM item WHERE price = {step}", url
+            )
         for step in range(10):
             db.execute(f"INSERT INTO item VALUES ({step})")
         assert pipeline.drain(timeout=30.0), "flaky cache stalled the pipeline"
-        pipeline.stop()
         stats = pipeline.stats()
         assert stats["bus"]["retries"] > 0
         assert stats["bus"]["breaker_opens"] >= 1
@@ -224,15 +205,14 @@ class TestSafetyValve:
         db.update_log.capacity = 3
         db.execute("CREATE TABLE item (price INT)")
         cache = WebCache()
-        pipeline = StreamingInvalidationPipeline(db, [cache], num_shards=2)
+        pipeline = StreamingInvalidationPipeline(db, [cache])
         watched = []
         for step in range(5):
             url = f"/item/{step}"
             watched.append(url)
-            with pipeline.registry_lock:
-                pipeline.registry.observe_instance(
-                    f"SELECT price FROM item WHERE price = {step}", url
-                )
+            pipeline.registry.observe_instance(
+                f"SELECT price FROM item WHERE price = {step}", url
+            )
         # more updates than the log retains, none consumed yet
         for value in range(100, 110):
             db.execute(f"INSERT INTO item VALUES ({value})")
@@ -241,21 +221,19 @@ class TestSafetyValve:
         assert stats["tailer"]["truncations"] == 1
         # unknowable changes: every watched page was ejected
         assert stats["bus"]["deliveries_ok"] == len(watched)
-        with pipeline.registry_lock:
-            assert len(pipeline.registry) == 0
+        assert len(pipeline.registry) == 0
 
     def test_resumes_cleanly_after_truncation(self):
         db = Database()
         db.update_log.capacity = 3
         db.execute("CREATE TABLE item (price INT)")
-        pipeline = StreamingInvalidationPipeline(db, [WebCache()], num_shards=2)
+        pipeline = StreamingInvalidationPipeline(db, [WebCache()])
         for value in range(100, 110):
             db.execute(f"INSERT INTO item VALUES ({value})")
         pipeline.process_available()
-        with pipeline.registry_lock:
-            pipeline.registry.observe_instance(
-                "SELECT price FROM item WHERE price = 7", "/item/7"
-            )
+        pipeline.registry.observe_instance(
+            "SELECT price FROM item WHERE price = 7", "/item/7"
+        )
         db.execute("INSERT INTO item VALUES (7)")
         pipeline.process_available()
         assert pipeline.stats()["bus"]["deliveries_ok"] == 1
@@ -264,23 +242,24 @@ class TestSafetyValve:
 class TestStats:
     def test_snapshot_shape(self):
         db, site, portal = portal_site()
-        pipeline = StreamingInvalidationPipeline.for_portal(portal, num_shards=3)
+        pipeline = StreamingInvalidationPipeline.for_portal(portal)
         site.get("/catalog?max_price=30000")
         db.execute("INSERT INTO car VALUES ('Kia','Rio',12000)")
         pipeline.process_available()
         stats = pipeline.stats()
         assert set(stats) >= {
-            "tailer", "workers", "bus", "registry", "shards", "dead_letters",
+            "tailer", "workers", "bus", "registry", "lane", "dead_letters",
         }
         assert stats["tailer"]["lag_records"] == 0
-        assert len(stats["workers"]["queue_depths"]) == 3
-        assert len(stats["shards"]) == 3
+        assert set(stats["lane"]) == {
+            "scheduler_cycles", "over_invalidated", "budget_utilization",
+        }
         assert stats["bus"]["eject_latency_mean_ms"] >= 0.0
 
     def test_offline_registration_entry_point(self):
         db = Database()
         db.execute("CREATE TABLE item (price INT)")
-        pipeline = StreamingInvalidationPipeline(db, num_shards=1)
+        pipeline = StreamingInvalidationPipeline(db)
         query_type = pipeline.register_query_type(
             "SELECT price FROM item WHERE price < ?", name="cheap"
         )
@@ -369,3 +348,22 @@ class TestCheckpointRecovery:
         report = pipeline2.restore(path)
         assert report.orphans_ejected == 1
         assert len(site.web_cache) == 1
+
+
+class TestThreadless:
+    def test_drain_delivers_on_the_calling_thread(self):
+        db = Database()
+        db.execute("CREATE TABLE item (price INT)")
+        cache = RecordingCache()
+        pipeline = StreamingInvalidationPipeline(db, [cache])
+        for step in range(5):
+            pipeline.registry.observe_instance(
+                f"SELECT price FROM item WHERE price = {step}", f"/item/{step}"
+            )
+        before = threading.active_count()
+        for step in range(5):
+            db.execute(f"INSERT INTO item VALUES ({step})")
+        assert pipeline.drain(timeout=30.0)
+        assert threading.active_count() == before
+        assert cache.eject_sequence == [f"/item/{step}" for step in range(5)]
+        assert cache.eject_threads == {threading.current_thread()}

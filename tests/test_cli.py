@@ -29,7 +29,6 @@ class TestParser:
 
     def test_stream_defaults(self):
         args = build_parser().parse_args(["stream"])
-        assert args.shards == 4
         assert args.polling_budget is None
         assert not args.json
 
@@ -65,11 +64,28 @@ class TestCommands:
         assert len(output.strip().splitlines()) == 4  # header x2 + 2 rows
 
     def test_stream(self, capsys):
-        assert main(["stream", "--shards", "2", "--pages", "4",
-                     "--updates", "10"]) == 0
+        assert main(["stream", "--pages", "4", "--updates", "10"]) == 0
         output = capsys.readouterr().out
         assert "drained=True" in output
-        assert "2 shard(s)" in output
+
+    def test_stream_starts_no_thread(self, capsys, monkeypatch):
+        """The pipeline is driven on the caller's thread: the demo starts
+        no thread and leaves the live thread count as it found it."""
+        import threading
+
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        before = threading.active_count()
+        assert main(["stream", "--pages", "4", "--updates", "10"]) == 0
+        assert "drained=True" in capsys.readouterr().out
+        assert started == []
+        assert threading.active_count() == before
 
     def test_stream_json(self, capsys):
         import json
