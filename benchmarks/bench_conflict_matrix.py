@@ -35,7 +35,7 @@ import json
 import os
 import time
 
-from repro.core.invalidator import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.qiurl import QIURLMap
 from repro.db import Database
 from repro.web.cache import WebCache
@@ -106,7 +106,7 @@ def run_arm(count, conflict_matrix):
     db = make_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(db, [cache], qiurl, conflict_matrix=conflict_matrix)
+    invalidator = StreamingInvalidationPipeline(db, [cache], qiurl, conflict_matrix=conflict_matrix)
     if invalidator.conflict_matrix is not None:
         invalidator.conflict_matrix.declare_class(
             "premium-insert", "car", "insert", "price >= 30000"

@@ -27,7 +27,8 @@ import pytest
 from repro.db import Database
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
-from repro.core import Invalidator, MatViewInvalidator, TriggerInvalidator
+from repro.core import MatViewInvalidator, TriggerInvalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.qiurl import QIURLMap
 
 from conftest import emit
@@ -88,7 +89,7 @@ def run_cacheportal():
     db = build_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(db, [cache], qiurl)
+    invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
     populate(cache, lambda sql, url: qiurl.add(sql, url, "s"))
     start = time.perf_counter()
     apply_updates(db)  # the update path: untouched by CachePortal
@@ -139,7 +140,7 @@ def test_all_strategies_are_safe():
     db = build_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(db, [cache], qiurl)
+    invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
     populate(cache, lambda sql, url: qiurl.add(sql, url, "s"))
     db.execute("INSERT INTO car VALUES ('Kia', 'fresh', 12000)")
     invalidator.run_cycle()
@@ -190,7 +191,7 @@ def run_versionkey_arm(version_keys: bool):
     db = build_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(db, [cache], qiurl, version_keys=version_keys)
+    invalidator = StreamingInvalidationPipeline(db, [cache], qiurl, version_keys=version_keys)
     populate(cache, lambda sql, url: qiurl.add(sql, url, "s"))
     invalidator.run_cycle()  # registration cycle: instances stamped
     slice_size = UPDATE_COUNT // ORACLE_CYCLES

@@ -12,12 +12,11 @@ sweep measures, per candidate count:
 * answer equivalence — demultiplexed verdicts match the oracle, one
   ``PollingQueryGenerator.poll`` per task, bit for bit.
 
-A fixed-size full-cycle stage then runs BOTH consumers (the synchronous
-invalidator and the streaming pipeline) against the reference cycle of
-``tests/reference_cycle.py``, which polls each task on its own, and
-asserts byte-identical eject sets and counter parity — the bench fails
-loudly if batching ever changes an outcome, not just if it stops being
-fast.
+A fixed-size full-cycle stage then runs the invalidation pipeline
+against the reference cycle of ``tests/reference_cycle.py``, which polls
+each task on its own, and asserts byte-identical eject sets and counter
+parity — the bench fails loudly if batching ever changes an outcome, not
+just if it stops being fast.
 
 Scale knob: ``REPRO_BENCH_POLLBATCH_COUNTS`` (default ``1000,10000``) —
 the CI smoke job runs tiny counts.
@@ -31,9 +30,9 @@ from repro.db import Database
 from repro.sql.parser import parse_statement
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
-from repro.core.invalidator import Invalidator
 from repro.core.invalidator.polling import PollingQueryGenerator
 from repro.core.qiurl import QIURLMap
+from repro.stream import StreamingInvalidationPipeline
 
 from conftest import emit
 from reference_cycle import ReferenceInvalidator
@@ -88,15 +87,15 @@ def make_tasks(count):
 
 
 def fresh_polling_stack(db):
-    invalidator = Invalidator(db, [WebCache()], QIURLMap())
-    invalidator.polling.begin_cycle()
-    return invalidator
+    lane = StreamingInvalidationPipeline(db, [WebCache()], QIURLMap()).worker.lane
+    lane.polling.begin_cycle()
+    return lane
 
 
 def run_batched(db, tasks):
-    invalidator = fresh_polling_stack(db)
-    outcomes = invalidator.batch_poller.execute(tasks)
-    stats = invalidator.polling.stats
+    lane = fresh_polling_stack(db)
+    outcomes = lane.batch_poller.execute(tasks)
+    stats = lane.polling.stats
     answers = [outcomes[key].impacted for key, _ in tasks]
     return answers, stats.issued + stats.batched_queries
 
@@ -157,10 +156,8 @@ def test_polling_batch_sweep():
         "Set-oriented polling — batched vs per-instance sweep",
         lines
         + [
-            f"cycle parity | sync ejects {cycle['sync_ejects']} "
-            f"(saved {cycle['sync_round_trips_saved']} round trips), "
-            f"stream ejects {cycle['stream_ejects']} "
-            f"(saved {cycle['stream_round_trips_saved']})",
+            f"cycle parity | ejects {cycle['ejects']} "
+            f"(saved {cycle['round_trips_saved']} round trips)",
         ],
         data={"rows": rows, "cycle_parity": cycle},
     )
@@ -201,8 +198,6 @@ def _pages(cache, qiurl, count):
         )
 
 
-#: One relation per wave: a stream batch carries one relation, so the
-#: stream's counters line up with one reference cycle per wave.
 WAVES = (
     (
         "INSERT INTO car VALUES ('Kia', 'fresh1', 14000)",
@@ -213,63 +208,32 @@ WAVES = (
 
 
 def full_cycle_parity(pages=300):
-    """Both consumers against the reference cycle: identical ejects,
-    counter for counter."""
+    """The pipeline's cycles against the reference cycle: identical
+    ejects, counter for counter."""
+    counters = PARITY_COUNTERS + ("poll_round_trips_saved",)
 
-    def build(make):
+    def run(reference):
         db = make_db(rows=50)
         cache = WebCache()
         qiurl = QIURLMap()
-        consumer = make(db, cache, qiurl)
+        pipeline = StreamingInvalidationPipeline(db, [cache], qiurl)
+        consumer = ReferenceInvalidator(pipeline) if reference else pipeline
         _pages(cache, qiurl, pages)
-        return db, cache, consumer
-
-    def run(make, step):
-        db, cache, consumer = build(make)
         totals = Counter()
         for wave in WAVES:
             for sql in wave:
                 db.execute(sql)
-            totals.update(step(consumer))
+            report = consumer.run_cycle()
+            totals.update({c: getattr(report, c) for c in counters})
         return sorted(cache.keys()), totals
 
-    counters = PARITY_COUNTERS + ("poll_round_trips_saved",)
-
-    def sync_step(invalidator):
-        report = invalidator.run_cycle()
-        return {c: getattr(report, c) for c in counters}
-
-    def stream_step(pipeline):
-        before = pipeline.stats()["workers"]
-        pipeline.process_available()
-        after = pipeline.stats()["workers"]
-        # urls_ejected is a sync-report-only counter.
-        return {c: after[c] - before[c] for c in counters if c in after}
-
-    def make_stream(db, cache, qiurl):
-        from repro.stream import StreamingInvalidationPipeline
-
-        return StreamingInvalidationPipeline(db, [cache], qiurl)
-
-    reference_keys, reference = run(
-        lambda db, cache, qiurl: ReferenceInvalidator(
-            Invalidator(db, [cache], qiurl)
-        ),
-        sync_step,
-    )
-    sync_keys, sync = run(
-        lambda db, cache, qiurl: Invalidator(db, [cache], qiurl), sync_step
-    )
-    stream_keys, stream = run(make_stream, stream_step)
-    assert sync_keys == stream_keys == reference_keys
+    keys, product = run(reference=False)
+    reference_keys, reference = run(reference=True)
+    assert keys == reference_keys
     for counter in PARITY_COUNTERS:
-        assert sync[counter] == reference[counter], counter
-        if counter != "urls_ejected":
-            assert stream[counter] == reference[counter], counter
+        assert product[counter] == reference[counter], counter
     return {
         "pages": pages,
-        "sync_ejects": sync["urls_ejected"],
-        "sync_round_trips_saved": sync["poll_round_trips_saved"],
-        "stream_ejects": pages - len(stream_keys),
-        "stream_round_trips_saved": stream["poll_round_trips_saved"],
+        "ejects": product["urls_ejected"],
+        "round_trips_saved": product["poll_round_trips_saved"],
     }

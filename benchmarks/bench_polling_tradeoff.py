@@ -14,7 +14,7 @@ import pytest
 from repro.db import Database
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
-from repro.core import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.qiurl import QIURLMap
 
 from conftest import emit
@@ -43,7 +43,7 @@ def run_with_budget(budget):
     db = build_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(db, [cache], qiurl, polling_budget=budget)
+    invalidator = StreamingInvalidationPipeline(db, [cache], qiurl, polling_budget=budget)
     for index in range(20):
         url = f"u{index}"
         cache.put(

@@ -19,7 +19,7 @@ from repro.db import Database
 from repro.sim.workload import HEAVY_QUERY, LIGHT_QUERY, MEDIUM_QUERY, build_paper_schema_sql
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
-from repro.core import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.qiurl import QIURLMap
 
 from conftest import emit
@@ -42,7 +42,7 @@ def cacheable():
 def cycle_cost(db, small):
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(db, [cache], qiurl)
+    invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
     for i in range(10):
         cache.put(f"l{i}", cacheable())
         qiurl.add(f"SELECT * FROM small_items WHERE payload = {i % 10}", f"l{i}", "s")

@@ -40,8 +40,8 @@ def main() -> None:
     portal = CachePortal(origin)
     hierarchy = standard_hierarchy(capacity_per_level=64)
     site = HierarchicalSite(origin, hierarchy)
-    for cache in hierarchy.caches:
-        portal.invalidator.messages.add_cache(cache)
+    for level, cache in enumerate(hierarchy.caches):
+        portal.pipeline.register_cache(f"level{level}", cache)
 
     url = "/quote?t=NEC"
     _response, source = site.fetch_with_source(url)

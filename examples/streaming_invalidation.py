@@ -1,13 +1,13 @@
 """Streaming invalidation: tail the update log, decide each relation's
 changes in log order, batch ejects through the bus.
 
-Builds Configuration III, deploys CachePortal, then attaches the
-streaming pipeline so invalidation runs *incrementally* instead of in
-synchronous cycles: a CDC tailer follows the update log, one lane
-analyzes each relation's changes in log order, and the eject bus
-coalesces, retries and dead-letters `Cache-Control: eject` deliveries.
-The pipeline runs on the thread that drains it; the database writers
-may be anywhere.
+Builds Configuration III and deploys CachePortal, whose invalidator is
+the streaming pipeline, then drains it *incrementally* instead of
+cycle by cycle: a CDC tailer follows the update log, one lane analyzes
+each tail batch's changes in log order, and the eject bus coalesces,
+retries and dead-letters `Cache-Control: eject` deliveries.  The
+pipeline runs on the thread that drains it; the database writers may be
+anywhere.
 
 Run with::
 
@@ -17,7 +17,6 @@ Run with::
 import threading
 
 from repro import CachePortal, Configuration, Database, KeySpec, build_site
-from repro.stream import StreamingInvalidationPipeline
 from repro.web import QueryPageServlet
 from repro.web.cache import FlakyCache
 from repro.web.servlet import QueryBinding
@@ -65,9 +64,9 @@ def main() -> None:
     db, site = build_demo_site()
     portal = CachePortal(site)
 
-    # Attach the streaming pipeline to the installed portal: it shares
-    # the portal's registry/mapper and ejects from the site's web cache.
-    pipeline = StreamingInvalidationPipeline.for_portal(portal)
+    # The portal's own pipeline: it reads the portal's QI/URL map and
+    # ejects from the site's web cache.
+    pipeline = portal.pipeline
 
     # A second, unreliable edge cache also wants eject messages — the
     # bus will retry with backoff and dead-letter what never succeeds.

@@ -15,8 +15,8 @@ Run with::
 from repro.db import Database, connect
 from repro.web.cache import WebCache
 from repro.web.wsgi import CachePortalMiddleware, call_wsgi, make_environ
-from repro.core.invalidator import Invalidator
 from repro.core.qiurl import QIURLMap
+from repro.stream import StreamingInvalidationPipeline
 
 
 def build_database() -> Database:
@@ -60,7 +60,7 @@ def main() -> None:
     qiurl = QIURLMap()
     cache = WebCache()
     app = CachePortalMiddleware(make_app(db, qiurl), cache)
-    invalidator = Invalidator(db, [cache], qiurl)
+    invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
 
     status, _headers, first = call_wsgi(app, make_environ("/front"))
     print("request 1:", first.decode().splitlines()[0], f"({status})")

@@ -36,7 +36,6 @@ from repro.core import (
     CachePortal,
     InvalidationPolicy,
     InvalidationReport,
-    Invalidator,
     MatViewInvalidator,
     QIURLMap,
     Sniffer,
@@ -54,7 +53,6 @@ __all__ = [
     "HttpResponse",
     "InvalidationPolicy",
     "InvalidationReport",
-    "Invalidator",
     "KeySpec",
     "MatViewInvalidator",
     "QIURLMap",

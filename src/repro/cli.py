@@ -8,8 +8,8 @@ Commands:
   scalability view behind the paper's 30 req/s operating point);
 * ``demo`` — the quickstart loop: cache, hit, update, invalidate;
 * ``example41`` — the paper's Example 4.1 decision walkthrough;
-* ``stream`` / ``cycle`` — the streaming pipeline and the synchronous
-  invalidator over one two-table demo site;
+* ``stream`` / ``cycle`` — the portal's invalidation pipeline over one
+  two-table demo site, drained in one go or run cycle by cycle;
 * ``serve http`` — runs a CachePortal site as a real HTTP server via
   wsgiref;
 * ``audit`` — crash/restart staleness audit of checkpoint recovery,
@@ -186,17 +186,15 @@ def _run_stream(args: argparse.Namespace) -> int:
     import json
 
     from repro import CachePortal
-    from repro.stream import StreamingInvalidationPipeline
 
     db, site = _build_demo_site()
-    portal = CachePortal(site)
-    pipeline = StreamingInvalidationPipeline.for_portal(
-        portal,
+    portal = CachePortal(
+        site,
         polling_budget=args.polling_budget,
-        batch_size=args.batch_size,
         version_keys=not args.no_version_keys,
         conflict_matrix=not args.no_conflict_matrix,
     )
+    pipeline = portal.pipeline
     for i in range(args.pages):
         site.get(f"/catalog?max_price={500 + 100 * i}")
         site.get(f"/reviews?min_stars={1 + i % 4}")
@@ -268,7 +266,7 @@ def _run_stream(args: argparse.Namespace) -> int:
 
 
 def _run_cycle(args: argparse.Namespace) -> int:
-    """Run synchronous invalidation cycles and print their reports."""
+    """Run invalidation cycles and print their reports."""
     import dataclasses
     import json
 
@@ -721,9 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--updates", type=int, default=50,
                           help="updates to stream through the pipeline")
     p_stream.add_argument("--polling-budget", type=int, default=None,
-                          help="max polling queries per relation batch")
-    p_stream.add_argument("--batch-size", type=int, default=256,
-                          help="tailer batch bound (records)")
+                          help="max polling queries per tail batch")
     p_stream.add_argument("--json", action="store_true",
                           help="emit the raw stats() snapshot as JSON")
     p_stream.add_argument("--no-version-keys", action="store_true",
@@ -736,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.set_defaults(func=_run_stream)
 
     p_cycle = sub.add_parser(
-        "cycle", help="run synchronous invalidation cycles on a demo portal"
+        "cycle", help="run invalidation cycles on a demo portal"
     )
     p_cycle.add_argument("--pages", type=int, default=12,
                          help="pages to cache before the update burst")

@@ -17,7 +17,6 @@ from repro.core.sniffer import (
 )
 from repro.core.invalidator import (
     InvalidationPolicy,
-    Invalidator,
     InvalidationReport,
     MatViewInvalidator,
     TriggerInvalidator,
@@ -44,7 +43,6 @@ __all__ = [
     "write_checkpoint",
     "InvalidationPolicy",
     "InvalidationReport",
-    "Invalidator",
     "MatViewInvalidator",
     "QIURLEntry",
     "QIURLMap",

@@ -14,9 +14,9 @@ Sub-modules follow the paper's decomposition:
 * :mod:`generator` — invalidation message creation (§4.2.4);
 * :mod:`safety` — lint-derived SAFE / POLL_ONLY / ALWAYS_EJECT
   enforcement verdicts and the conservative-fallback enforcer;
-* :mod:`decide` — the decision both consumers share: tier assembly, the
-  per-pair cascade and the budgeted poll phase;
-* :mod:`invalidator` — the synchronous cycle, plus the two baseline
+* :mod:`decide` — the decision: tier assembly, the per-pair cascade and
+  the budgeted poll phase (run by :mod:`repro.stream`'s pipeline);
+* :mod:`invalidator` — the per-cycle report, plus the two baseline
   invalidators (trigger-based and materialized-view-based) the paper
   argues against.
 """
@@ -31,7 +31,6 @@ from repro.core.invalidator.grouping import (
 from repro.core.invalidator.infomgmt import InformationManager
 from repro.core.invalidator.invalidator import (
     InvalidationReport,
-    Invalidator,
     MatViewInvalidator,
     TriggerInvalidator,
 )
@@ -54,7 +53,6 @@ from repro.core.invalidator.safety import (
     classify_template,
 )
 from repro.core.invalidator.scheduler import InvalidationScheduler
-from repro.core.invalidator.updates import UpdateProcessor
 
 __all__ = [
     "GroupedChecker",
@@ -66,7 +64,6 @@ __all__ = [
     "InvalidationPolicy",
     "InvalidationReport",
     "InvalidationScheduler",
-    "Invalidator",
     "MatViewInvalidator",
     "PolicyEngine",
     "PollingQueryGenerator",
@@ -84,7 +81,6 @@ __all__ = [
     "TriggerInvalidator",
     "classify_findings",
     "classify_template",
-    "UpdateProcessor",
     "Verdict",
     "VerdictKind",
 ]

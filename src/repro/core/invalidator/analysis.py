@@ -21,8 +21,8 @@ data.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import DatabaseError, ReproError
 from repro.sql import ast

@@ -1,21 +1,19 @@
-"""The invalidation decision, written once for both consumers.
+"""The invalidation decision: everything between "records pulled" and
+"URLs to eject".
 
 The paper's invalidator is one cycle (§4, Figure 11): pull the Δs, check
 every (query instance, change) pair, schedule polls within the budget,
-eject.  Two consumers run it — the synchronous
-:class:`~repro.core.invalidator.invalidator.Invalidator` (one pass per
-synchronization point) and the streaming pipeline's worker in
-:mod:`repro.stream.workers` (one pass per relation batch).  Everything
-between "records pulled" and "URLs to eject" lives here, so the eject
-set is identical whichever consumer produced it:
+eject.  Its one consumer is the streaming pipeline's worker in
+:mod:`repro.stream.workers`, which runs one such pass per tail batch:
 
 * :func:`build_tiers` assembles the query registry and every tier over
   it — safety verdicts, static conflict matrix, predicate index, version
   keys;
-* :class:`Tiers` also owns the update-loss valve, the poll-deadline
-  resolver and the registry walk behind the safety counters;
-* :class:`Lane` holds a consumer's private tools (scheduler, polling
-  generator, batch poller, checker) and runs the decision cascade
+* :class:`Tiers` also owns the type-analysis cache (the grouped
+  checker), the update-loss valve, the poll-deadline resolver and the
+  registry walk behind the safety counters;
+* :class:`Lane` holds the consumer's tools (scheduler, polling
+  generator, batch poller) and runs the decision cascade
   (:meth:`Lane.decide`) and the poll phase (:meth:`Lane.poll`).
 
 Counters go into a caller-owned ``counts`` mapping whose names are the
@@ -70,6 +68,10 @@ class Tiers:
     conflict_matrix: Optional[ConflictMatrix]
     pred_index: PredicateIndex
     version_index: Optional[VersionKeyIndex]
+    #: The one type-analysis cache: every tier's ``analysis_for`` and the
+    #: lane's precise check.  Subscribed to the registry, so its
+    #: per-instance memo forgets dropped instances.
+    checker: GroupedChecker
     polling_budget: Optional[int]
     #: Resolver: servlet name → temporal sensitivity in ms (§3.1).
     servlet_deadline: Optional[Callable[[str], float]]
@@ -150,8 +152,9 @@ def build_tiers(
     # types the analyzer cannot reason about soundly.
     safety = SafetyEnforcer(database, enabled=safety_enforcement)
     registry.add_listener(safety)
-    # One type-analysis cache feeds every tier.
-    analysis_for = GroupedChecker().analysis_for
+    # One type-analysis cache feeds every tier and the lane's checks.
+    checker = GroupedChecker()
+    analysis_for = checker.analysis_for
 
     def columns_of(table: str) -> Optional[List[str]]:
         """Schema accessor for the matrix's whole-table proofs; None for
@@ -174,6 +177,7 @@ def build_tiers(
         if version_keys
         else None
     )
+    registry.add_listener(checker)
     return Tiers(
         database=database,
         qiurl_map=qiurl_map,
@@ -185,6 +189,7 @@ def build_tiers(
         conflict_matrix=matrix,
         pred_index=index,
         version_index=versions,
+        checker=checker,
         polling_budget=polling_budget,
         servlet_deadline=servlet_deadline,
     )
@@ -202,20 +207,16 @@ class Doomed(dict):
 
 
 class Lane:
-    """A consumer's tool chain over its tiers.
+    """The consumer's tool chain over its tiers.
 
-    Each consumer — the synchronous invalidator and the streaming
-    pipeline — has exactly one lane and runs it on one thread.  Its
-    scheduler enforces the polling budget once per pass, as §4.2.2
-    prescribes.  The checker's per-instance memo follows the registry:
-    it forgets an instance when the instance is dropped.
+    The pipeline has exactly one lane and runs it on its caller's
+    thread.  Its scheduler enforces the polling budget once per pass, as
+    §4.2.2 prescribes; its precise checks go through the tiers' checker.
     """
 
     def __init__(self, tiers: Tiers) -> None:
         self.tiers = tiers
         self.scheduler = InvalidationScheduler(polling_budget=tiers.polling_budget)
-        self.grouped_checker = GroupedChecker()
-        tiers.registry.add_listener(self.grouped_checker)
         self.polling = PollingQueryGenerator(tiers.database)
         self.batch_poller = BatchPollExecutor(tiers.infomgmt, self.polling)
 
@@ -276,7 +277,7 @@ class Lane:
                 and instance.query_type.safety.verdict is SafetyVerdict.VERSION_KEY
             ]
 
-        check_instance = self.grouped_checker.check_instance
+        check_instance = tiers.checker.check_instance
         tasks: List[PollTask] = []
         pairs = unaffected = affected = pruned = 0
         fallback_ejects = poll_only_checks = 0

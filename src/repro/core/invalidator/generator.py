@@ -8,7 +8,7 @@ to every cache holding the page.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 from repro.web.cache import WebCache

@@ -20,7 +20,7 @@ share a type — the common case for servlet-generated queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import DatabaseError, ReproError
 from repro.sql import ast

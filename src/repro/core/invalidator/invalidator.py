@@ -1,12 +1,10 @@
-"""The invalidator orchestrator and the two baseline invalidators.
+"""The invalidation-cycle report and the two baseline invalidators.
 
-:class:`Invalidator` runs the paper's cycle (Figure 11) synchronously:
-pull the update log into Δ tables, decide every (live query instance,
-change) pair, schedule polling queries within the budget, and send
-``Cache-Control: eject`` messages for every affected page.  The decision
-itself — tier assembly, the per-pair cascade and the poll phase — lives
-in :mod:`repro.core.invalidator.decide`, shared with the streaming
-workers; this module is the synchronous glue around it.
+The paper's cycle (Figure 11) runs in one consumer, the streaming
+pipeline (:mod:`repro.stream.pipeline`): its ``run_cycle`` — behind
+``CachePortal.run_invalidation_cycle`` — drains the update log through
+the decision of :mod:`repro.core.invalidator.decide` and reports what
+the pass did as an :class:`InvalidationReport`.
 
 :class:`TriggerInvalidator` and :class:`MatViewInvalidator` implement the
 two alternatives the paper rejects (§4, first two paragraphs): DB triggers
@@ -18,26 +16,22 @@ their cost lands on the DBMS, which is the paper's argument.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, Sequence, Set
 
 from repro.db.engine import Database
 from repro.db.log import ChangeKind, UpdateRecord
 from repro.db.matview import MaterializedViewManager
 from repro.web.cache import WebCache
-from repro.core.qiurl import QIURLMap
 from repro.core.invalidator.analysis import IndependenceChecker, VerdictKind
-from repro.core.invalidator.decide import Doomed, Lane, build_tiers
 from repro.core.invalidator.generator import InvalidationMessageGenerator
-from repro.core.invalidator.policies import InvalidationPolicy
 from repro.core.invalidator.registration import QueryTypeRegistry
-from repro.core.invalidator.updates import UpdateProcessor
 
 
 @dataclass
 class InvalidationReport:
-    """Per-cycle outcome summary."""
+    """Per-cycle outcome summary: the decision counters are the
+    :class:`~repro.stream.metrics.PipelineMetrics` deltas of one cycle."""
 
     records_processed: int = 0
     duplicate_records_skipped: int = 0
@@ -57,9 +51,10 @@ class InvalidationReport:
     polls_executed: int = 0
     polls_impacted: int = 0
     over_invalidated: int = 0
+    #: Ejects published this cycle, and cache copies the deliveries of
+    #: this cycle removed.
     urls_ejected: int = 0
     pages_removed: int = 0
-    polling_work_units: int = 0
     #: Safety enforcement (lint verdicts): live instances whose type
     #: classified SAFE at cycle end, pages ejected by the ALWAYS_EJECT
     #: fallback, fingerprint polls for POLL_ONLY pairs, and the total
@@ -95,137 +90,6 @@ class InvalidationReport:
     def checker_invocations(self) -> int:
         """Pairs that actually reached the independence checker."""
         return self.pairs_checked - self.pairs_pruned
-
-
-class Invalidator:
-    """The CachePortal invalidator (paper §4): the synchronous consumer."""
-
-    def __init__(
-        self,
-        database: Database,
-        caches: Sequence[WebCache],
-        qiurl_map: QIURLMap,
-        policy: Optional[InvalidationPolicy] = None,
-        polling_budget: Optional[int] = None,
-        servlet_deadline: Optional[Callable[[str], float]] = None,
-        safety_enforcement: bool = True,
-        version_keys: bool = True,
-        conflict_matrix: bool = True,
-    ) -> None:
-        self.database = database
-        self.qiurl_map = qiurl_map
-        self.updates = UpdateProcessor(database)
-        self.tiers = build_tiers(
-            database,
-            qiurl_map,
-            stamp_source=lambda: self.updates.cursor,
-            policy=policy,
-            polling_budget=polling_budget,
-            safety_enforcement=safety_enforcement,
-            version_keys=version_keys,
-            conflict_matrix=conflict_matrix,
-            servlet_deadline=servlet_deadline,
-        )
-        tiers = self.tiers
-        self.registry = tiers.registry
-        self.registration = tiers.registration
-        self.policy_engine = tiers.policy_engine
-        self.infomgmt = tiers.infomgmt
-        self.safety = tiers.safety
-        self.conflict_matrix = tiers.conflict_matrix
-        self.pred_index = tiers.pred_index
-        self.version_index = tiers.version_index
-        # One lane: the synchronous cycle is single-threaded.
-        self.lane = Lane(tiers)
-        self.scheduler = self.lane.scheduler
-        self.polling = self.lane.polling
-        self.batch_poller = self.lane.batch_poller
-        self.grouped_checker = self.lane.grouped_checker
-        self.messages = InvalidationMessageGenerator(caches)
-        # Pages whose eject some cache missed: still registered, re-sent
-        # at the start of every cycle until each cache has taken it.
-        self.undelivered: Dict[str, None] = {}  # insertion-ordered set
-        self.cycles_run = 0
-        self.last_report: Optional[InvalidationReport] = None
-
-    # -- registration entry points --------------------------------------------------
-
-    def register_query_type(self, template_sql: str, name: Optional[str] = None):
-        """Offline registration of a known query type (§4.1.1)."""
-        return self.registration.register_query_type(template_sql, name)
-
-    def ingest_qiurl_rows(self) -> int:
-        """Online discovery: pull new QI/URL rows into the registry (§4.1.2)."""
-        return self.registration.scan(self.qiurl_map.read_new())
-
-    def servlet_cacheable(self, servlet) -> bool:
-        """Feedback hook for the sniffer's request logger."""
-        return self.policy_engine.servlet_cacheable(servlet.name)
-
-    # -- the invalidation cycle ---------------------------------------------------------
-
-    def run_cycle(self) -> InvalidationReport:
-        """One full invalidation cycle (Figure 11, arrows (A)-(C)).
-
-        Glue around :mod:`~repro.core.invalidator.decide`: every relation's
-        records go through the shared cascade with one ``doomed`` set for
-        the whole cycle, then one poll phase, then the ejects.
-        """
-        self.cycles_run += 1
-        report = InvalidationReport()
-        doomed = Doomed()
-        self.ingest_qiurl_rows()
-        if self.undelivered:
-            self._eject(list(self.undelivered), report)
-        # Fingerprint newly discovered POLL_ONLY instances before any
-        # update is examined; the synchronous cycle always promotes the
-        # previous baseline (its records are fully processed).
-        self.safety.prepare_cycle(promote=True)
-        deltas, lost = self.updates.pull_or_lose()
-        if lost:
-            report.updates_lost = True
-            self._eject(self.tiers.flush_all(self.updates.cursor), report)
-        elif not deltas.is_empty():
-            report.records_processed = len(deltas)
-            tables = deltas.tables()
-            self.infomgmt.on_cycle_deltas(set(tables))
-            if self.version_index is not None:
-                # Bump-before-check: every record of the batch moves its
-                # counters before any (instance, record) pair is examined.
-                for table in tables:
-                    self.version_index.observe(deltas.changes_for(table))
-            counts: Counter = Counter()
-            tasks = []
-            for table in tables:
-                tasks += self.lane.decide(
-                    table, deltas.changes_for(table), doomed, counts
-                )
-            self.lane.poll(tasks, doomed, counts)
-            for name, amount in counts.items():
-                setattr(report, name, getattr(report, name) + amount)
-            self._eject(sorted(doomed.urls), report)
-            report.polling_work_units = self.polling.stats.total_work_units
-            # Policy discovery runs at the end of each cycle (§4.1.4).
-            self.policy_engine.discover(self.registry)
-        for name, value in self.tiers.registry_counts().items():
-            setattr(report, name, value)
-        self.last_report = report
-        return report
-
-    def _eject(self, urls: List[str], report: InvalidationReport) -> None:
-        """Send the ejects, then forget only the pages every cache
-        dropped; the rest stay registered and in ``undelivered``."""
-        outcomes = self.messages.invalidate(urls)
-        report.urls_ejected += len(outcomes)
-        report.pages_removed += sum(outcome.pages_removed for outcome in outcomes)
-        delivered = []
-        for outcome in outcomes:
-            if outcome.delivery_failures:
-                self.undelivered.setdefault(outcome.url_key)
-            else:
-                self.undelivered.pop(outcome.url_key, None)
-                delivered.append(outcome.url_key)
-        self.tiers.drop_urls(delivered)
 
 
 class TriggerInvalidator:

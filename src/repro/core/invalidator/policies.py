@@ -19,8 +19,8 @@ request logger (§3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Set
 
 from repro.core.invalidator.registration import QueryType, QueryTypeRegistry
 

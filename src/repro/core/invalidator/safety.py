@@ -45,7 +45,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple, Union
 
 from repro.errors import ReproError
 from repro.sql import ast

@@ -12,7 +12,7 @@ load down but drives the invalidation rate (and hence cache-miss rate) up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 @dataclass(frozen=True)

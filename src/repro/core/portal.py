@@ -7,7 +7,8 @@ database:
 * every servlet is wrapped by a request logger,
 * every application server's driver is wrapped by a query logger,
 * the request-to-query mapper produces the QI/URL map,
-* the invalidator watches the update log and ejects affected pages.
+* the invalidator — one :class:`~repro.stream.pipeline.StreamingInvalidationPipeline`,
+  ``portal.pipeline`` — watches the update log and ejects affected pages.
 
 Typical use::
 
@@ -34,8 +35,9 @@ from typing import Callable, Optional, Union
 from repro.errors import CachePortalError
 from repro.web.site import Configuration, Site
 from repro.core.sniffer import Sniffer
-from repro.core.invalidator import InvalidationPolicy, InvalidationReport, Invalidator
+from repro.core.invalidator import InvalidationPolicy, InvalidationReport
 from repro.core import recovery
+from repro.stream.pipeline import StreamingInvalidationPipeline
 
 
 class CachePortal:
@@ -44,8 +46,8 @@ class CachePortal:
     Args:
         site: the site to instrument; must have a web cache.
         policy: invalidation-policy thresholds (optional).
-        polling_budget: max polling queries per invalidation cycle;
-            ``None`` means unbounded (best invalidation quality).
+        polling_budget: max polling queries per decision pass (one tail
+            batch); ``None`` means unbounded (best invalidation quality).
         max_staleness_ms: staleness bound the deployment guarantees;
             servlets with tighter temporal sensitivity stay uncacheable.
         clock: shared time source for logs; defaults to a logical counter.
@@ -67,8 +69,12 @@ class CachePortal:
                 "CachePortal requires a Configuration III site (web cache)"
             )
         self.site = site
-        self._logical = itertools.count()
-        self.clock = clock or (lambda: float(next(self._logical)))
+        # The default clock must not close over the portal: the sniffer
+        # registers its query loggers (which keep this clock) in the
+        # process-wide driver registry, and a closure over ``self`` would
+        # pin the portal — its pipeline and registry — for good.
+        logical = itertools.count()
+        self.clock = clock or (lambda: float(next(logical)))
 
         # The sniffer needs the invalidator's cacheability feedback, and
         # the invalidator needs the sniffer's QI/URL map; break the cycle
@@ -77,20 +83,24 @@ class CachePortal:
             site.app_servers,
             clock=self.clock,
             max_staleness_ms=max_staleness_ms,
-            cacheability_veto=lambda servlet: self.invalidator.servlet_cacheable(
-                servlet
+            cacheability_veto=lambda servlet: (
+                self.pipeline.policy_engine.servlet_cacheable(servlet.name)
             ),
         )
-        self.invalidator = Invalidator(
-            database=site.database,
-            caches=[site.web_cache],
-            qiurl_map=self.sniffer.qiurl_map,
+        # The one invalidation consumer.  Its pump maps the sniffer's logs
+        # first, so every page cached before a tick has its QI/URL rows
+        # registered ahead of the updates that tick decides.
+        self.pipeline = StreamingInvalidationPipeline(
+            site.database,
+            [site.web_cache],
+            self.sniffer.qiurl_map,
             policy=policy,
             polling_budget=polling_budget,
-            servlet_deadline=self._servlet_deadline,
             safety_enforcement=safety_enforcement,
             version_keys=version_keys,
             conflict_matrix=conflict_matrix,
+            servlet_deadline=self._servlet_deadline,
+            pre_ingest=self.run_sniffer,
         )
 
     def _servlet_deadline(self, servlet_name: str) -> float:
@@ -116,47 +126,39 @@ class CachePortal:
         return self.sniffer.run_mapper()
 
     def run_invalidation_cycle(self) -> InvalidationReport:
-        """One synchronization point: map logs, pull Δs, eject stale pages.
+        """One synchronization point: map logs, pull Δs, eject stale pages
+        — one :meth:`~repro.stream.pipeline.StreamingInvalidationPipeline.run_cycle`.
 
-        The sniffer's mapper always runs first so that every page cached
-        before this instant has its QI/URL rows visible to the
+        The sniffer's mapper runs at the start of every pump, so every page
+        cached before this instant has its QI/URL rows visible to the
         invalidator — the safety property tests rely on this ordering.
+        Ejects some cache refused stay on the bus: retried with backoff on
+        later cycles, dead-lettered after the bus's attempt limit.
         """
-        self.run_sniffer()
-        return self.invalidator.run_cycle()
+        return self.pipeline.run_cycle()
 
     # -- checkpoint / recovery ------------------------------------------------
 
     def checkpoint(self, path: Union[str, Path]) -> str:
-        """Persist the portal's durable state atomically; returns the
-        snapshot checksum.
+        """Persist the portal's durable state atomically (the pipeline's
+        checkpoint: QI/URL map, registry, LSN cursor, undelivered ejects
+        and dead letters); returns the snapshot checksum.
 
-        Run the mapper first so every page cached before this instant has
-        its QI/URL rows inside the snapshot — the same ordering
-        :meth:`run_invalidation_cycle` relies on for the safety property.
+        The mapper runs first so every page cached before this instant has
+        its QI/URL rows inside the snapshot.
         """
-        self.run_sniffer()
-        return recovery.write_checkpoint(path, recovery.snapshot_portal(self))
+        return self.pipeline.checkpoint(path)
 
     def restore(
         self, path: Union[str, Path], reconcile_caches: bool = True
     ) -> "recovery.RecoveryReport":
-        """Reload a checkpoint written by :meth:`checkpoint`.
-
-        Rebuilds the QI/URL map and query registry (the invalidator's
-        predicate index is re-derived by replay, never deserialized),
-        seeks the update-log cursor to the checkpointed LSN — or fires
-        the flush-all safety valve when the log truncated past it — and,
-        with ``reconcile_caches``, ejects cached pages the snapshot has
-        no QI/URL rows for (they were cached after the checkpoint and
-        have no other eject path).
+        """Reload a checkpoint written by :meth:`checkpoint` into this
+        freshly installed portal (see
+        :meth:`~repro.stream.pipeline.StreamingInvalidationPipeline.restore`):
+        cursor seek or, past a truncated log, the flush-all valve, and
+        orphan reconciliation with ``reconcile_caches``.
         """
-        payload = recovery.read_checkpoint(path)
-        report = recovery.restore_portal(
-            self, payload, reconcile_caches=reconcile_caches
-        )
-        report.path = str(path)
-        return report
+        return self.pipeline.restore(path, reconcile_caches=reconcile_caches)
 
     # -- introspection ------------------------------------------------------------
 
@@ -166,13 +168,14 @@ class CachePortal:
 
     def register_query_type(self, template_sql: str, name: Optional[str] = None):
         """Expose offline query-type registration (§4.1.1)."""
-        return self.invalidator.register_query_type(template_sql, name)
+        return self.pipeline.register_query_type(template_sql, name)
 
     def status(self) -> dict:
         """Operational snapshot of every component, for dashboards/logs."""
         cache = self.site.web_cache
-        invalidator = self.invalidator
-        last = invalidator.last_report
+        pipeline = self.pipeline
+        polling = pipeline.worker.lane.polling.stats
+        last = pipeline.last_report
         cache_section = {
             "pages": len(cache),
             "capacity": cache.capacity,
@@ -199,19 +202,19 @@ class CachePortal:
                 "map_rows": len(self.qiurl_map),
             },
             "invalidator": {
-                "cycles_run": invalidator.cycles_run,
-                "query_types": len(invalidator.registry.types()),
-                "query_instances": len(invalidator.registry),
-                "polls_issued": invalidator.polling.stats.issued,
-                "polls_coalesced": invalidator.polling.stats.coalesced,
-                "poll_cache_hits": invalidator.polling.stats.cache_hits,
-                "batched_queries": invalidator.polling.stats.batched_queries,
-                "batched_instances": invalidator.polling.stats.batched_instances,
-                "demux_misses": invalidator.polling.stats.demux_misses,
-                "poll_round_trips_saved": (
-                    invalidator.polling.stats.poll_round_trips_saved
+                "cycles_run": pipeline.cycles_run,
+                "query_types": len(pipeline.registry.types()),
+                "query_instances": len(pipeline.registry),
+                "polls_issued": polling.issued,
+                "polls_coalesced": polling.coalesced,
+                "poll_cache_hits": polling.cache_hits,
+                "batched_queries": polling.batched_queries,
+                "batched_instances": polling.batched_instances,
+                "demux_misses": polling.demux_misses,
+                "poll_round_trips_saved": polling.poll_round_trips_saved,
+                "over_invalidated_total": (
+                    pipeline.worker.lane.scheduler.total_over_invalidated
                 ),
-                "over_invalidated_total": invalidator.scheduler.total_over_invalidated,
                 "last_cycle": None
                 if last is None
                 else {
@@ -233,13 +236,13 @@ class CachePortal:
                 },
             },
             "safety": dict(
-                invalidator.safety.stats(),
-                enabled=invalidator.safety.enabled,
+                pipeline.safety.stats(),
+                enabled=pipeline.safety.enabled,
             ),
             "version_keys": None
-            if invalidator.version_index is None
-            else invalidator.version_index.stats(),
+            if pipeline.version_index is None
+            else pipeline.version_index.stats(),
             "conflict_matrix": None
-            if invalidator.conflict_matrix is None
-            else invalidator.conflict_matrix.stats(),
+            if pipeline.conflict_matrix is None
+            else pipeline.conflict_matrix.stats(),
         }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -34,20 +34,23 @@ class QIURLEntry:
 
 
 class QIURLMap:
-    """Append-mostly store of QI/URL rows with de-duplication.
+    """Store of the live QI/URL rows with de-duplication.
 
     Rows are unique per (sql, url_key): re-generating the same page from
     the same query refreshes nothing.  Consumers read new rows through
-    :meth:`read_new`, which tracks a per-map cursor (the invalidator is
-    the only consumer in practice).
+    :meth:`read_new` (the invalidator is the only consumer in practice).
+    Only live rows and the not-yet-read ones are retained: a dropped row
+    is forgotten once it has been read, so memory follows the live pages,
+    not the history of fills and ejects.
     """
 
     def __init__(self) -> None:
-        self._rows: List[QIURLEntry] = []
+        #: Live rows, in the order they were added.
         self._by_pair: Dict[Tuple[str, str], QIURLEntry] = {}
         self._by_url: Dict[str, Set[Tuple[str, str]]] = {}
         self._ids = itertools.count(1)
-        self._cursor = 0
+        #: Rows added since the last :meth:`read_new`, dropped ones included.
+        self._unread: List[QIURLEntry] = []
 
     def __len__(self) -> int:
         return len(self._by_pair)
@@ -66,7 +69,7 @@ class QIURLMap:
             servlet=servlet,
             mapped_at=mapped_at,
         )
-        self._rows.append(entry)
+        self._unread.append(entry)
         self._by_pair[pair] = entry
         self._by_url.setdefault(url_key, set()).add(pair)
         return entry
@@ -75,17 +78,16 @@ class QIURLMap:
         """True when ``row`` is the current entry for its (sql, url) pair.
 
         Membership of the pair alone is not enough: after a drop and a
-        re-add of the same pair, the dead predecessor row still sits in
-        ``_rows`` with a live pair — only the row ``_by_pair`` actually
-        points at is live.
+        re-add of the same pair, the dead predecessor row may still sit in
+        the unread list with a live pair — only the row ``_by_pair``
+        actually points at is live.
         """
         return self._by_pair.get((row.sql, row.url_key)) is row
 
     def read_new(self) -> List[QIURLEntry]:
-        """Rows appended since the previous call (the consumer cursor)."""
-        new_rows = self._rows[self._cursor :]
-        self._cursor = len(self._rows)
-        # Skip rows that were dropped (or superseded) after being appended.
+        """Live rows added since the previous call (the consumer cursor)."""
+        new_rows, self._unread = self._unread, []
+        # Skip rows that were dropped (or superseded) after being added.
         return [row for row in new_rows if self._is_live(row)]
 
     def urls(self) -> List[str]:
@@ -108,7 +110,7 @@ class QIURLMap:
         return len(pairs)
 
     def all_entries(self) -> List[QIURLEntry]:
-        return [row for row in self._rows if self._is_live(row)]
+        return list(self._by_pair.values())
 
     # -- checkpointing --------------------------------------------------------
 
@@ -121,7 +123,8 @@ class QIURLMap:
         tail through :meth:`read_new`.
         """
         live = self.all_entries()
-        consumed = sum(1 for row in self._rows[: self._cursor] if self._is_live(row))
+        # Unread rows are the newest: every other live row is consumed.
+        consumed = len(live) - sum(1 for row in self._unread if self._is_live(row))
         return {
             "rows": [
                 [row.sql, row.url_key, row.servlet, row.mapped_at]
@@ -132,12 +135,11 @@ class QIURLMap:
 
     def restore_state(self, data: Dict) -> int:
         """Replace this map's contents with a snapshot; returns row count."""
-        self._rows.clear()
         self._by_pair.clear()
         self._by_url.clear()
         self._ids = itertools.count(1)
-        self._cursor = 0
+        self._unread = []
         for sql, url_key, servlet, mapped_at in data.get("rows", []):
             self.add(sql, url_key, servlet, mapped_at)
-        self._cursor = min(int(data.get("consumed", 0)), len(self._rows))
-        return len(self._rows)
+        del self._unread[: int(data.get("consumed", 0))]
+        return len(self._by_pair)

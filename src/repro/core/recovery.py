@@ -12,11 +12,10 @@ eject path left to it.  This module makes portal state durable:
   mid-write leaves the previous checkpoint intact, and a corrupt or
   torn file is rejected by its SHA-256 checksum instead of being
   half-loaded);
-* :func:`snapshot_portal` / :func:`restore_portal` capture and reload a
-  synchronous :class:`~repro.core.portal.CachePortal`;
-* :func:`snapshot_pipeline` / :func:`restore_pipeline` do the same for a
-  :class:`~repro.stream.pipeline.StreamingInvalidationPipeline`,
-  additionally carrying the tailer's LSN cursor and the eject bus's
+* :func:`snapshot_pipeline` / :func:`restore_pipeline` capture and
+  reload a :class:`~repro.stream.pipeline.StreamingInvalidationPipeline`
+  — the invalidation consumer a :class:`~repro.core.portal.CachePortal`
+  owns — including the tailer's LSN cursor and the eject bus's
   undelivered/dead-letter state.
 
 **What is serialized** is source state only: QI/URL rows, query-type
@@ -48,7 +47,6 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import CachePortalError
-from repro.core.invalidator.invalidator import InvalidationReport
 
 FORMAT_VERSION = 1
 
@@ -169,25 +167,7 @@ def read_checkpoint(path: Union[str, Path]) -> Dict:
     return payload
 
 
-# -- portal snapshots ---------------------------------------------------------
-
-
-def snapshot_portal(portal) -> Dict:
-    """Capture a :class:`~repro.core.portal.CachePortal`'s durable state."""
-    index = portal.invalidator.version_index
-    matrix = portal.invalidator.conflict_matrix
-    return {
-        "kind": "portal",
-        "qiurl": portal.qiurl_map.snapshot_state(),
-        "registry": portal.invalidator.registry.snapshot_state(),
-        "cursor_lsn": portal.invalidator.updates.cursor,
-        "bus": None,
-        "undelivered": list(portal.invalidator.undelivered),
-        "version_keys": index.snapshot_state() if index is not None else None,
-        "conflict_matrix": (
-            matrix.snapshot_state() if matrix is not None else None
-        ),
-    }
+# -- pipeline snapshots -------------------------------------------------------
 
 
 def snapshot_pipeline(pipeline) -> Dict:
@@ -205,72 +185,6 @@ def snapshot_pipeline(pipeline) -> Dict:
             matrix.snapshot_state() if matrix is not None else None
         ),
     }
-
-
-def restore_portal(
-    portal, payload: Dict, reconcile_caches: bool = True
-) -> RecoveryReport:
-    """Reload a snapshot into a (freshly constructed) portal.
-
-    Restores the QI/URL map and registry (replaying registrations so any
-    attached predicate index rebuilds itself), seeks the update cursor to
-    the checkpointed LSN, fires the flush-all valve when the log has
-    truncated past it, and ejects orphaned cached pages.  Ejects some cache
-    had missed at checkpoint time go out again with the next cycle.
-    """
-    report = RecoveryReport()
-    invalidator = portal.invalidator
-    # Checkpoints written before the retry set was recorded lack the key.
-    for url in payload.get("undelivered", ()):
-        invalidator.undelivered.setdefault(url)
-    report.ejects_republished = len(invalidator.undelivered)
-    report.map_rows_restored = portal.qiurl_map.restore_state(payload["qiurl"])
-    matrix = invalidator.conflict_matrix
-    conflict_state = payload.get("conflict_matrix")
-    if matrix is not None and conflict_state:
-        # Classes first: replayed registrations must see the declared
-        # update classes so per-class proofs rebuild alongside them.
-        report.conflict_classes_restored = matrix.restore_classes(
-            conflict_state
-        )
-    registry_stats = invalidator.registry.restore_state(payload["registry"])
-    report.types_restored = registry_stats["query_types"]
-    report.instances_restored = registry_stats["query_instances"]
-    if matrix is not None and conflict_state:
-        # Cells are derived state: recompute and compare against the
-        # checkpointed verdicts (the fresh verdict always wins).
-        comparison = matrix.compare_cells(conflict_state, invalidator.registry)
-        report.conflict_cells_compared = comparison["compared"]
-        report.conflict_cell_mismatches = comparison["mismatches"]
-    invalidator.safety.after_restore()
-    report.fingerprints_restored = _count_fingerprints(invalidator.registry)
-    cursor = int(payload["cursor_lsn"])
-    report.cursor_lsn = cursor
-    log = invalidator.database.update_log
-    if cursor + 1 < log.oldest_lsn:
-        # The log wrapped past the checkpoint: what changed in between is
-        # unknowable.  Resume would be silent staleness — flush instead.
-        report.log_truncated = True
-        report.lost_range = (cursor + 1, max(log.last_lsn, log.oldest_lsn - 1))
-        invalidator.updates.skip_to_head()
-        flushed = invalidator.tiers.flush_all(invalidator.updates.cursor)
-        # Through the invalidator, so a flush eject some cache misses
-        # joins the retry set instead of being lost.
-        invalidator._eject(flushed, InvalidationReport())
-        report.flushed_urls = len(flushed)
-    else:
-        invalidator.updates.seek(cursor)
-    if invalidator.version_index is not None:
-        # Registry replay rebuilt the keys; overlay the checkpointed
-        # counters (restamped instances carry their checkpointed stamps).
-        report.version_keys_restored = invalidator.version_index.restore_state(
-            payload.get("version_keys"), fallback_floor=cursor
-        )
-    if reconcile_caches:
-        report.orphans_ejected = _eject_orphans(
-            invalidator.messages.caches, portal.qiurl_map
-        )
-    return report
 
 
 def restore_pipeline(
@@ -294,10 +208,11 @@ def restore_pipeline(
     report.instances_restored = registry_stats["query_instances"]
     cursor = int(payload["cursor_lsn"])
     report.cursor_lsn = cursor
-    bus_state = payload.get("bus")
-    if bus_state:
-        report.ejects_republished = pipeline.bus.restore_state(bus_state)
-        report.dead_letters_restored = len(bus_state.get("dead_letters", []))
+    # Portal checkpoints of earlier releases kept their retry set beside
+    # a null bus; its ejects are re-published all the same.
+    bus_state = payload.get("bus") or {"undelivered": payload.get("undelivered", [])}
+    report.ejects_republished = pipeline.bus.restore_state(bus_state)
+    report.dead_letters_restored = len(bus_state.get("dead_letters", []))
     log = pipeline.database.update_log
     if cursor + 1 < log.oldest_lsn:
         report.log_truncated = True
@@ -305,6 +220,9 @@ def restore_pipeline(
         pipeline.tailer.seek(max(log.last_lsn, log.oldest_lsn - 1))
         pipeline.tailer.last_lost_range = report.lost_range
         report.flushed_urls = len(pipeline._flush_everything())
+        # Deliver now: every flushed page may already be stale.  An eject
+        # some cache refuses stays on the bus for retry.
+        pipeline.bus.pump()
     else:
         pipeline.tailer.seek(cursor)
     if pipeline.version_index is not None:

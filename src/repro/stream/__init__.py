@@ -1,13 +1,14 @@
 """Streaming invalidation pipeline (the real-time form of paper §4.2).
 
 The paper requires the invalidator to "function in real time"; this
-package turns the synchronous invalidation pass into an incremental
-pipeline that one caller drives, tick by tick, on its own thread:
+package runs the invalidation pass as an incremental pipeline — the
+portal's one consumer — that one caller drives, tick by tick, on its
+own thread:
 
 * :mod:`tailer` — CDC consumption of the Δ⁺R/Δ⁻R update stream with
   bounded buffering and resumable offsets;
 * :mod:`workers` — the one lane running the grouped independence
-  analysis and budgeted polling per relation batch, in log order;
+  analysis and budgeted polling per tail batch, in log order;
 * :mod:`bus` — coalescing eject delivery with retry, backoff, per-cache
   circuit breaking, and a dead-letter queue;
 * :mod:`metrics` — lag, ejects/sec, poll-budget utilization, retry
@@ -20,7 +21,7 @@ from repro.stream.bus import CacheTarget, CircuitBreaker, DeadLetter, EjectBus
 from repro.stream.metrics import PipelineMetrics
 from repro.stream.pipeline import StreamingInvalidationPipeline
 from repro.stream.tailer import LogTailer, TailBatch
-from repro.stream.workers import InvalidationWorker, RelationBatch
+from repro.stream.workers import InvalidationWorker
 
 __all__ = [
     "CacheTarget",
@@ -30,7 +31,6 @@ __all__ = [
     "InvalidationWorker",
     "LogTailer",
     "PipelineMetrics",
-    "RelationBatch",
     "StreamingInvalidationPipeline",
     "TailBatch",
 ]

@@ -1,9 +1,8 @@
-"""The eject delivery bus (streaming replacement for §4.2.4 delivery).
+"""The eject delivery bus (§4.2.4 delivery).
 
-The synchronous invalidator hands ``Cache-Control: eject`` messages to
-every cache inline and merely *counts* failures.  At streaming rates a
-single slow or flapping cache would stall the whole pipeline, so the bus
-decouples delivery:
+Handing ``Cache-Control: eject`` messages to every cache inline would let
+a single slow or flapping cache stall invalidation, so the bus decouples
+delivery:
 
 * **coalescing** — an eject for a URL that is already queued is merged
   (the page can only be removed once);
@@ -29,9 +28,8 @@ with the pipeline's in-order lane upstream) preserves per-relation eject
 ordering end to end.
 
 The bus has no thread of its own: whoever owns it calls :meth:`EjectBus.pump`
-— the pipeline after each tick's batches, the async gateway from its
-event loop — and :meth:`EjectBus.drain` pumps until nothing is
-outstanding.
+— the pipeline once per decided batch, the async gateway from its event
+loop — and :meth:`EjectBus.drain` pumps until nothing is outstanding.
 """
 
 from __future__ import annotations
@@ -152,7 +150,7 @@ class EjectBus:
         self.backoff_max = backoff_max
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
-        self._clock = clock or time.monotonic
+        self.clock = clock or time.monotonic
         self._targets: Dict[str, CacheTarget] = {}
         self._router: Optional[Callable[[str], Optional[Sequence[str]]]] = None
         self._orders: "deque[_Order]" = deque()
@@ -235,6 +233,13 @@ class EjectBus:
         """Eject orders plus pending deliveries not yet resolved."""
         return self._outstanding
 
+    def due_in(self) -> Optional[float]:
+        """Seconds until the next retry is due (0 when one is overdue), or
+        None when no retry is pending."""
+        if not self._retries:
+            return None
+        return max(0.0, self._retries[0][0] - self.clock())
+
     # -- delivery --------------------------------------------------------------
 
     def drain(self, timeout: float = 5.0) -> bool:
@@ -267,12 +272,12 @@ class EjectBus:
 
     def pump(self) -> Optional[float]:
         """Process all currently-due work; returns the next retry due time."""
-        now = self._clock()
+        now = self.clock()
         # 1. due retries, oldest due first
         while self._retries and self._retries[0][0] <= now:
             _due, _seq, delivery = heapq.heappop(self._retries)
             self._attempt(delivery)
-            now = self._clock()
+            now = self.clock()
         # 2. fresh orders, FIFO
         while self._orders:
             order = self._orders.popleft()
@@ -318,7 +323,7 @@ class EjectBus:
         return chosen
 
     def _attempt(self, delivery: _Delivery) -> None:
-        now = self._clock()
+        now = self.clock()
         target = delivery.target
         if not target.breaker.allows(now):
             # Circuit open: defer to the half-open instant without
@@ -349,7 +354,7 @@ class EjectBus:
         target.delivered += 1
         self.metrics.add(deliveries_ok=1, pages_removed=1 if removed else 0)
         if delivery.origin_ts is not None:
-            self.metrics.record_eject_latency(self._clock() - delivery.origin_ts)
+            self.metrics.record_eject_latency(self.clock() - delivery.origin_ts)
         self._outstanding -= 1
 
     def _schedule(self, delivery: _Delivery, due: float) -> None:

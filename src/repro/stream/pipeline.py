@@ -1,59 +1,60 @@
 """The streaming invalidation pipeline: tailer → lane → eject bus.
 
-The synchronous :class:`~repro.core.invalidator.invalidator.Invalidator`
-processes each synchronization point as one blocking pass.  The pipeline
-runs the same decision — the tiers, cascade and poll phase of
-:mod:`repro.core.invalidator.decide` — incrementally, as one ordered
-consumer driven from the caller's thread:
+CachePortal's one invalidation consumer.  It runs the decision — the
+tiers, cascade and poll phase of :mod:`repro.core.invalidator.decide` —
+as one ordered consumer driven from the caller's thread:
 
 * a :class:`~repro.stream.tailer.LogTailer` consumes the update log in
   bounded batches with a resumable offset;
 * :meth:`StreamingInvalidationPipeline.pump_once` ingests new QI/URL
-  rows, tails one batch, groups it by relation (per-relation order
-  preserved), and applies the result-cache daemon hook of §4.3;
-* one :class:`~repro.stream.workers.InvalidationWorker` runs the shared
-  cascade and budgeted polling on each relation batch;
+  rows, tails one batch and applies the result-cache daemon hook of
+  §4.3;
+* one :class:`~repro.stream.workers.InvalidationWorker` decides the
+  batch — one pass of the paper's cycle: every relation with one shared
+  ``doomed`` set, one budgeted poll phase, one publish;
 * an :class:`~repro.stream.bus.EjectBus` coalesces and delivers the
-  ``Cache-Control: eject`` messages, absorbing cache faults.
+  ``Cache-Control: eject`` messages, absorbing cache faults with bounded
+  retry, a circuit breaker and a dead-letter queue.
 
 :meth:`~StreamingInvalidationPipeline.process_available` is the tick (the
-gateway and the benchmark call it on their serving loop);
-:meth:`~StreamingInvalidationPipeline.drain` repeats it until the log is
-at its head and the bus has nothing outstanding.
+gateway and the benchmark call it on their serving loop; it never
+sleeps); :meth:`~StreamingInvalidationPipeline.run_cycle` is one tick
+reported as an :class:`~repro.core.invalidator.invalidator.InvalidationReport`
+(``CachePortal.run_invalidation_cycle``);
+:meth:`~StreamingInvalidationPipeline.drain` repeats the tick until the
+log is at its head and the bus has nothing outstanding, waiting out
+retry backoff.
 
-The update-loss safety valve is shared with the synchronous path: when
-the bounded log truncates past the tailer's offset, every watched page
-is flushed.
+When the bounded log truncates past the tailer's offset, every watched
+page is flushed (the update-loss safety valve).
 
 Typical use::
 
-    pipeline = StreamingInvalidationPipeline.for_portal(portal)
-    ...                      # site serves traffic, updates commit
-    pipeline.drain()         # all known changes invalidated
-    print(pipeline.stats())
-
-While a pipeline drives invalidation, do not also call
-``portal.run_invalidation_cycle()`` — both consume the same QI/URL map
-cursor and update log.
+    portal = CachePortal(site)   # builds and owns portal.pipeline
+    ...                          # site serves traffic, updates commit
+    portal.pipeline.drain()      # all known changes invalidated
+    print(portal.pipeline.stats())
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.db.engine import Database
+from repro.db.log import DeltaTables
 from repro.core import recovery
 from repro.core.qiurl import QIURLMap
 from repro.core.invalidator.decide import build_tiers
+from repro.core.invalidator.invalidator import InvalidationReport
 from repro.core.invalidator.policies import InvalidationPolicy
 from repro.stream.bus import EjectBus
 from repro.stream.metrics import PipelineMetrics
 from repro.stream.tailer import LogTailer
-from repro.stream.workers import InvalidationWorker, RelationBatch
+from repro.stream.workers import InvalidationWorker
 
 
 class StreamingInvalidationPipeline:
@@ -65,8 +66,10 @@ class StreamingInvalidationPipeline:
             more can be attached later via :meth:`register_cache`.
         qiurl_map: the sniffer's QI/URL map (a private one is created
             when omitted — useful for registry-only tests).
-        polling_budget: per relation batch poll budget (§4.2.2).
-        batch_size: tailer read bound (the pipeline's buffering limit).
+        polling_budget: poll budget per tail batch (§4.2.2); ``None``
+            polls every pair the checker cannot decide.
+        batch_size: tailer read bound (the pipeline's buffering limit,
+            and the most records one decision pass sees).
         start_lsn: resume offset; ``None`` starts at the current head.
         pre_ingest: hook run at each pump iteration *before* tailing —
             typically ``portal.run_sniffer`` so freshly cached pages are
@@ -128,30 +131,19 @@ class StreamingInvalidationPipeline:
         # bench/trace.py wraps process_batch on every member of
         # pool.workers; the pipeline has exactly one.
         self.pool = SimpleNamespace(workers=[self.worker])
-        #: Relation batches the last pump tailed, not yet decided.
-        self._batches: Deque[RelationBatch] = deque()
+        #: The batch the last pump tailed, not yet decided, and when.
+        self._pending: Optional[Tuple[DeltaTables, float]] = None
         self.pre_ingest = pre_ingest
         self._clock = time.monotonic
+        self.cycles_run = 0
+        self.last_report: Optional[InvalidationReport] = None
 
     # -- construction helpers --------------------------------------------------
 
     @classmethod
-    def for_portal(cls, portal, **kwargs) -> "StreamingInvalidationPipeline":
-        """Build a pipeline over a :class:`~repro.core.portal.CachePortal`.
-
-        Reuses the portal's sniffer (QI/URL map + mapper) and targets the
-        site's web cache; the portal's own synchronous invalidator should
-        then be left idle.
-        """
-        site = portal.site
-        kwargs.setdefault("pre_ingest", portal.run_sniffer)
-        kwargs.setdefault("servlet_deadline", portal._servlet_deadline)
-        return cls(
-            database=site.database,
-            caches=[site.web_cache],
-            qiurl_map=portal.qiurl_map,
-            **kwargs,
-        )
+    def for_portal(cls, portal) -> "StreamingInvalidationPipeline":
+        """The portal's own pipeline (``bench/site.py`` reaches it here)."""
+        return portal.pipeline
 
     def register_cache(self, name: str, cache: object) -> None:
         self.bus.register(name, cache)
@@ -212,16 +204,16 @@ class StreamingInvalidationPipeline:
     # -- the pump -------------------------------------------------------------
 
     def pump_once(self) -> bool:
-        """One pump iteration: ingest, tail one batch and queue its
-        relation batches for :meth:`process_available`.  Returns True
-        when any work was queued."""
+        """One pump iteration: ingest, then tail one batch and hold it for
+        :meth:`process_available` to decide.  Returns True when any work
+        was found."""
         if self.pre_ingest is not None:
             self.pre_ingest()
         self.registration.scan(self.qiurl_map.read_new())
         # Fingerprint new POLL_ONLY instances before their first batch is
         # decided.  The previous baseline may only be promoted to trusted
-        # once no records from older batches remain undecided.
-        self.safety.prepare_cycle(promote=not self._batches)
+        # once no records from an older batch remain undecided.
+        self.safety.prepare_cycle(promote=self._pending is None)
         batch = self.tailer.poll()
         if batch.lost:
             self.metrics.add(truncations=1)
@@ -229,7 +221,6 @@ class StreamingInvalidationPipeline:
             return True
         if not batch.records:
             return False
-        now = self._clock()
         self.metrics.add(
             records_tailed=len(batch.records), batches_tailed=1
         )
@@ -241,16 +232,7 @@ class StreamingInvalidationPipeline:
         # §4.3 daemon hook: stale polling results for changed tables must
         # be dropped before anything polls on this batch's behalf.
         self.infomgmt.on_cycle_deltas(set(deltas.tables()))
-        for table in deltas.tables():
-            self._batches.append(
-                RelationBatch(
-                    table=table,
-                    records=deltas.changes_for(table),
-                    origin_ts=now,
-                )
-            )
-        # Policy discovery (§4.1.4) rides along at batch granularity.
-        self.policy_engine.discover(self.registry)
+        self._pending = (deltas, self._clock())
         return True
 
     def _flush_everything(self) -> List[str]:
@@ -264,39 +246,62 @@ class StreamingInvalidationPipeline:
         """Tail, decide and deliver everything currently available, on
         the caller's thread; returns records processed.
 
-        Each pump's relation batches are decided in log order, then the
-        bus is pumped (waiting out retry backoff) until nothing is
-        outstanding.
+        Each pass decides one tail batch, then gives the bus one delivery
+        round.  It never sleeps: a retry still in backoff goes out on a
+        later tick (or in :meth:`drain`).
         """
         processed = 0
         for _ in range(max_batches):
             moved = self.pump_once()
-            while self._batches:
-                batch = self._batches.popleft()
-                processed += len(batch.records)
+            if self._pending is not None:
+                deltas, origin_ts = self._pending
+                self._pending = None
+                processed += len(deltas)
                 # Looked up per call: bench/trace.py wraps it on the worker.
-                self.worker.process_batch(batch)
-            while self.bus.outstanding:
-                next_due = self.bus.pump()
-                if self.bus.outstanding and next_due is not None:
-                    delay = max(0.0, next_due - self._clock())
-                    if delay > 0:
-                        time.sleep(min(delay, 0.05))
+                self.worker.process_batch(deltas, origin_ts)
+                # Policy discovery (§4.1.4) runs at the end of each pass.
+                self.policy_engine.discover(self.registry)
+            if self.bus.outstanding:
+                self.bus.pump()
             if not moved and self.tailer.at_head():
                 break
         return processed
 
+    def run_cycle(self) -> InvalidationReport:
+        """One synchronization point (Figure 11): :meth:`process_available`,
+        reported as the deltas it moved on the metrics, plus the live
+        registry's safety counters."""
+        before = dict(vars(self.metrics))
+        self.process_available()
+        after = vars(self.metrics)
+        report = InvalidationReport(
+            updates_lost=after["truncations"] > before["truncations"],
+            urls_ejected=after["ejects_requested"] - before["ejects_requested"],
+            **self.tiers.registry_counts(),
+        )
+        for field in fields(report):
+            if field.name in after:
+                setattr(report, field.name, after[field.name] - before[field.name])
+        self.cycles_run += 1
+        self.last_report = report
+        return report
+
     def drain(self, timeout: float = 10.0) -> bool:
         """Block until every change appended so far is fully invalidated:
-        log tailed to head and eject bus settled.  Returns False when
-        changes still arrive at ``timeout``."""
+        log tailed to head and eject bus settled.  Between ticks it sleeps
+        until the bus's next retry is due.  Returns False when work is
+        still outstanding at ``timeout``."""
         deadline = self._clock() + timeout
         while True:
             self.process_available()
             if self.tailer.at_head() and self.bus.outstanding == 0:
                 return True
-            if self._clock() >= deadline:
+            now = self._clock()
+            if now >= deadline:
                 return False
+            wait = self.bus.due_in()
+            if wait:
+                time.sleep(min(wait, deadline - now))
 
     # -- observability -----------------------------------------------------------
 

@@ -1,15 +1,14 @@
 """CDC tailer: incremental consumption of the database update log.
 
-The synchronous invalidator pulls *everything* since its last cursor in
-one unbounded gulp (``UpdateProcessor.pull``).  The tailer instead reads
-the Δ⁺R/Δ⁻R stream in bounded batches — its in-memory footprint is one
-batch, never the whole backlog — and exposes a resumable offset so a
-restarted pipeline continues exactly where it stopped.
+The tailer reads the Δ⁺R/Δ⁻R stream in bounded batches — its in-memory
+footprint is one batch, never the whole backlog — and exposes a
+resumable offset so a restarted pipeline continues exactly where it
+stopped.
 
 Truncation of the bounded log past the cursor is surfaced as a *lost*
-batch rather than an exception: the pipeline reacts with the same safety
-valve as the synchronous path (flush every watched page) and the tailer
-resynchronizes to the head.
+batch rather than an exception: the pipeline reacts with the update-loss
+safety valve (flush every watched page) and the tailer resynchronizes
+to the head.
 """
 
 from __future__ import annotations

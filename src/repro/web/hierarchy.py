@@ -156,8 +156,8 @@ class HierarchicalSite:
 
     Wraps an origin :class:`~repro.web.site.Site` built *without* a web
     cache (any configuration) and resolves requests through the
-    hierarchy.  Use together with an Invalidator constructed over
-    ``hierarchy.caches``.
+    hierarchy.  Use together with a streaming invalidation pipeline
+    constructed over ``hierarchy.caches``.
     """
 
     def __init__(self, origin_site, hierarchy: CacheHierarchy) -> None:

@@ -133,9 +133,9 @@ class CachePortalMiddleware:
 
     Args:
         app: the wrapped WSGI application.
-        cache: the page store; shared with an
-            :class:`~repro.core.invalidator.invalidator.Invalidator` so
-            programmatic ejects work too.
+        cache: the page store; register it on a
+            :class:`~repro.stream.pipeline.StreamingInvalidationPipeline`
+            (``pipeline.register_cache``) so programmatic ejects work too.
         key_spec_for_path: optional path → :class:`KeySpec` resolver; the
             default keys on all GET parameters.
     """

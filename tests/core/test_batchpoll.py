@@ -20,7 +20,7 @@ from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
-from repro.core.invalidator import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.invalidator.batchpoll import (
     PROBE_NAME,
     TID_COLUMN,
@@ -164,9 +164,10 @@ class TestCompileBatch:
 class TestBatchPollExecutor:
     def _executor(self):
         db = make_car_db()
-        invalidator = Invalidator(db, [WebCache()], QIURLMap())
-        invalidator.polling.begin_cycle()
-        return db, invalidator.batch_poller, invalidator.polling.stats
+        invalidator = StreamingInvalidationPipeline(db, [WebCache()], QIURLMap())
+        invalidator.worker.lane.polling.begin_cycle()
+        lane = invalidator.worker.lane
+        return db, lane.batch_poller, lane.polling.stats
 
     def test_one_group_one_round_trip(self):
         _, executor, stats = self._executor()
@@ -291,7 +292,7 @@ class TestCycleEquivalence:
         db = make_car_db()
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, [cache], qiurl)
+        invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
         consumer = invalidator if batched else ReferenceInvalidator(invalidator)
         for i, threshold in enumerate(thresholds):
             self._page(
@@ -315,7 +316,8 @@ class TestCycleEquivalence:
                         f"INSERT INTO mileage VALUES ('M{cycle}_{i}', {epa})"
                     )
             reports.append(consumer.run_cycle())
-        return sorted(cache.keys()), reports, consumer.polling.stats
+        polling = invalidator.worker.lane.polling if batched else consumer.polling
+        return sorted(cache.keys()), reports, polling.stats
 
     PARITY_COUNTERS = (
         "records_processed",
@@ -415,7 +417,7 @@ class TestStreamingParity:
         if batched:
             consumer = StreamingInvalidationPipeline(db, [cache], qiurl)
         else:
-            consumer = ReferenceInvalidator(Invalidator(db, [cache], qiurl))
+            consumer = ReferenceInvalidator(StreamingInvalidationPipeline(db, [cache], qiurl))
         for i, epa in enumerate((0, 10, 20, 30, 40, 50)):
             cache.put(f"u{i}", cacheable())
             qiurl.add(JOIN_SQL.format(epa), f"u{i}", "s")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CachePortal
-from repro.core.invalidator import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.invalidator.analysis import VerdictKind
 from repro.core.invalidator.conflict import ConflictMatrix
 from repro.core.invalidator.grouping import GroupedChecker
@@ -24,8 +24,8 @@ from repro.core.invalidator.registration import QueryTypeRegistry
 from repro.core.qiurl import QIURLMap
 from repro.core.recovery import (
     read_checkpoint,
-    restore_portal,
-    snapshot_portal,
+    restore_pipeline,
+    snapshot_pipeline,
     write_checkpoint,
 )
 from repro.db.log import ChangeKind, UpdateRecord
@@ -367,7 +367,7 @@ class TestCycleEjectParity:
         db = make_car_db()
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(
+        invalidator = StreamingInvalidationPipeline(
             db, [cache], qiurl, conflict_matrix=conflict_matrix
         )
         if invalidator.conflict_matrix is not None:
@@ -408,7 +408,7 @@ class TestPortalCheckpoint:
 
     def test_round_trip_restores_classes_and_recomputes_cells(self, tmp_path):
         site, portal = self.make_portal()
-        matrix = portal.invalidator.conflict_matrix
+        matrix = portal.pipeline.conflict_matrix
         assert matrix is not None
         declare_refinements(matrix)
         self.fetch(site, "/catalog?max_price=15000")
@@ -420,12 +420,12 @@ class TestPortalCheckpoint:
         assert report.static_disjoint_skips > 0
 
         path = tmp_path / "portal.ckpt"
-        write_checkpoint(path, snapshot_portal(portal))
+        write_checkpoint(path, snapshot_pipeline(portal.pipeline))
         portal.sniffer.uninstall()
         revived = CachePortal(site)
-        fresh_matrix = revived.invalidator.conflict_matrix
+        fresh_matrix = revived.pipeline.conflict_matrix
         declare_refinements(fresh_matrix)  # operator re-declares on boot
-        recovery = restore_portal(revived, read_checkpoint(path))
+        recovery = restore_pipeline(revived.pipeline, read_checkpoint(path))
         assert recovery.conflict_classes_restored == 3
         assert recovery.conflict_cells_compared > 0
         assert recovery.conflict_cell_mismatches == 0
@@ -442,10 +442,10 @@ class TestPortalCheckpoint:
     def test_restore_without_conflict_state_is_harmless(self, tmp_path):
         site, portal = self.make_portal()
         self.fetch(site, "/catalog?max_price=15000")
-        payload = snapshot_portal(portal)
+        payload = snapshot_pipeline(portal.pipeline)
         payload["conflict_matrix"] = None  # pre-matrix checkpoint
         portal.sniffer.uninstall()
         revived = CachePortal(site)
-        recovery = restore_portal(revived, payload)
+        recovery = restore_pipeline(revived.pipeline, payload)
         assert recovery.conflict_classes_restored == 0
         assert recovery.conflict_cell_mismatches == 0

@@ -5,7 +5,7 @@ import pytest
 from repro.db import Database
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
-from repro.core import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.qiurl import QIURLMap
 
 
@@ -32,7 +32,7 @@ def run_cycle_once(mileage_rows):
     db = build_db(mileage_rows)
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(db, [cache], qiurl)
+    invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
     cache.put("u1", cacheable())
     qiurl.add(JOIN_SQL, "u1", "s")
     db.execute("INSERT INTO car VALUES ('Kia', 'fresh', 1)")
@@ -57,7 +57,7 @@ class TestCostSelfTuning:
         db = build_db(mileage_rows=300)
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, [cache], qiurl)
+        invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
         cache.put("u1", cacheable())
         qiurl.add(JOIN_SQL, "u1", "s")
         db.execute("INSERT INTO car VALUES ('Kia', 'f1', 1)")
@@ -75,7 +75,7 @@ class TestCostSelfTuning:
         db = build_db(mileage_rows=100)
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, [cache], qiurl)
+        invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
         cache.put("u1", cacheable())
         qiurl.add("SELECT * FROM mileage WHERE epa > 100", "u1", "s")
         db.execute("INSERT INTO mileage VALUES ('x', 5)")  # fails locally

@@ -1,10 +1,11 @@
-"""One decision table, two consumers.
+"""One decision table, checked against the reference cycle.
 
-The synchronous cycle (``portal.run_invalidation_cycle()``) and the
-streaming pipeline (``pipeline.process_available()``) both decide through
-:mod:`repro.core.invalidator.decide`.  Twin sites fed the same pages and
-the same updates must eject the same pages and count the same decisions,
-with every tier on and with each A/B toggle off in turn.
+The portal's one consumer (``portal.run_invalidation_cycle()``, the
+pipeline's ``run_cycle``) decides through
+:mod:`repro.core.invalidator.decide`.  A twin site fed the same pages and
+the same updates, decided by ``tests/reference_cycle.py``, must eject the
+same pages and count the same decisions, with every tier on and with
+each A/B toggle off in turn.
 """
 
 import pytest
@@ -12,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_car_db
 from repro import CachePortal, Configuration, build_site
-from repro.core.invalidator import Invalidator
-from repro.stream import StreamingInvalidationPipeline
+from reference_cycle import ReferenceInvalidator
 from repro.web import KeySpec, QueryPageServlet
 from repro.web.servlet import QueryBinding
 
@@ -26,20 +26,18 @@ ARMS = [pytest.param({}, id="all-on")] + [
     pytest.param({name: False}, id=f"no-{name}") for name in TOGGLES
 ]
 
-#: Decision counters both consumers report under the same name.
+#: Decision counters the reference cycle keeps too.
 COUNTERS = (
     "records_processed",
+    "duplicate_records_skipped",
     "pairs_checked",
     "unaffected",
     "affected",
-    "pairs_pruned",
-    "index_probes",
     "polls_requested",
     "polls_executed",
     "polls_impacted",
     "over_invalidated",
-    "batched_queries",
-    "batched_instances",
+    "urls_ejected",
     "fallback_ejects",
     "poll_only_checks",
     "version_key_checks",
@@ -92,22 +90,11 @@ URLS = [
 ]
 
 
-def build(arm, streaming):
+def build(arm):
     db = make_car_db()
     db.execute("INSERT INTO car VALUES ('Kia', 'Soul', NULL)")
     site = build_site(Configuration.WEB_CACHE, servlets(), database=db)
-    portal = CachePortal(site)
-    if streaming:
-        pipeline = StreamingInvalidationPipeline.for_portal(portal, **arm)
-        return site, pipeline
-    portal.invalidator = Invalidator(
-        site.database,
-        [site.web_cache],
-        portal.qiurl_map,
-        servlet_deadline=portal._servlet_deadline,
-        **arm,
-    )
-    return site, portal
+    return site, CachePortal(site, **arm)
 
 
 MODELS = ["Rio", "Soul", "Civic", "Avalon", "Ghost"]
@@ -116,11 +103,6 @@ NULLABLE_INT = st.one_of(st.none(), st.integers(0, 80000))
 
 def _sql(value):
     return "NULL" if value is None else repr(value)
-
-
-def relation(statement):
-    words = statement.split()
-    return words[1] if words[0] == "UPDATE" else words[2]
 
 
 CAR_DML = st.one_of(
@@ -167,33 +149,21 @@ WAVES = st.lists(
 )
 
 
-def run_sync(arm, waves):
-    site, portal = build(arm, streaming=False)
+def run(arm, waves, reference):
+    site, portal = build(arm)
+    oracle = ReferenceInvalidator(portal.pipeline) if reference else None
     results = []
     for urls, statements in waves:
         for url in urls:
             site.get(url)
         for sql in statements:
             site.database.execute(sql)
-        report = portal.run_invalidation_cycle()
+        if reference:
+            portal.run_sniffer()
+            report = oracle.run_cycle()
+        else:
+            report = portal.run_invalidation_cycle()
         counts = {name: getattr(report, name) for name in COUNTERS}
-        results.append((sorted(site.web_cache.keys()), counts))
-    return results
-
-
-def run_stream(arm, waves):
-    site, pipeline = build(arm, streaming=True)
-    results = []
-    before = dict.fromkeys(COUNTERS, 0)
-    for urls, statements in waves:
-        for url in urls:
-            site.get(url)
-        for sql in statements:
-            site.database.execute(sql)
-        pipeline.process_available()
-        workers = pipeline.stats()["workers"]
-        counts = {name: workers[name] - before[name] for name in COUNTERS}
-        before = {name: workers[name] for name in COUNTERS}
         results.append((sorted(site.web_cache.keys()), counts))
     return results
 
@@ -202,47 +172,59 @@ def run_stream(arm, waves):
 @settings(max_examples=12, deadline=None)
 @given(waves=WAVES)
 def test_consumers_eject_and_count_identically(arm, waves):
-    sync = run_sync(arm, waves)
-    stream = run_stream(arm, waves)
-    for (_urls, statements), (sync_keys, sync_counts), (
-        stream_keys,
-        stream_counts,
-    ) in zip(waves, sync, stream):
-        assert sync_keys == stream_keys, statements
-        # The stream decides and polls one relation per batch; the sync
-        # cycle decides every relation, then polls once.  When a wave
-        # touches two relations, a poll that dooms an instance in the
-        # first batch spares the stream its pairs in the second, so the
-        # counters agree exactly only for single-relation waves.
-        if len({relation(sql) for sql in statements}) == 1:
-            assert sync_counts == stream_counts, statements
+    """The product cycle and the reference cycle, twin for twin."""
+    product = run(arm, waves, reference=False)
+    oracle = run(arm, waves, reference=True)
+    for (_urls, statements), (keys, counts), (oracle_keys, oracle_counts) in zip(
+        waves, product, oracle
+    ):
+        # One cycle is one tail batch: every relation decided, then one
+        # poll phase — the reference cycle's shape, counter for counter.
+        assert keys == oracle_keys, statements
+        assert counts == oracle_counts, statements
 
 
 def test_streamed_eject_records_invalidation_time():
-    site, pipeline = build({}, streaming=True)
+    site, portal = build({})
     site.get("/catalog?max_price=30000")
     site.database.execute("INSERT INTO car VALUES ('Kia', 'Rio', 12000)")
-    pipeline.process_available()
+    portal.pipeline.process_available()
     assert len(site.web_cache) == 0
     stats = next(
         query_type.stats
-        for query_type in pipeline.registry.types()
+        for query_type in portal.pipeline.registry.types()
         if "price <" in query_type.signature
     )
     assert stats.invalidations == 1
-    # §4.1.1 item 4: charged from the start of the batch, as the
-    # synchronous cycle charges from the start of the cycle.
+    # §4.1.1 item 4: charged from the start of the pass.
     assert stats.max_invalidation_time > 0.0
 
 
 def test_process_available_propagates_batch_errors():
-    site, pipeline = build({}, streaming=True)
-    worker = pipeline.pool.workers[0]
+    site, portal = build({})
+    worker = portal.pipeline.pool.workers[0]
 
-    def broken(batch):
+    def broken(deltas, origin_ts=None):
         raise RuntimeError("batch is broken")
 
     worker.process_batch = broken
     site.database.execute("INSERT INTO car VALUES ('Kia', 'Rio', 12000)")
     with pytest.raises(RuntimeError, match="batch is broken"):
-        pipeline.process_available()
+        portal.pipeline.process_available()
+
+
+def test_one_pass_decides_every_relation_of_a_batch():
+    """A tail batch touching two relations is one pass: one scheduler
+    cycle, one publish."""
+    site, portal = build({})
+    for url in URLS:
+        site.get(url)
+    portal.run_invalidation_cycle()
+    site.database.execute("INSERT INTO car VALUES ('Kia', 'Rio', 12000)")
+    site.database.execute("INSERT INTO mileage VALUES ('Rio', 35)")
+    before = portal.pipeline.stats()
+    report = portal.run_invalidation_cycle()
+    after = portal.pipeline.stats()
+    assert report.records_processed == 2
+    assert after["workers"]["batches_processed"] - before["workers"]["batches_processed"] == 1
+    assert after["lane"]["scheduler_cycles"] - before["lane"]["scheduler_cycles"] <= 1

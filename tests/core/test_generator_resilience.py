@@ -46,7 +46,7 @@ class TestEjectResilience:
         assert generator.delivery_failures == 3
 
     def test_invalidator_cycle_survives_broken_cache(self):
-        from repro.core import Invalidator
+        from repro.stream import StreamingInvalidationPipeline
         from repro.core.qiurl import QIURLMap
         from helpers import make_car_db
 
@@ -55,17 +55,18 @@ class TestEjectResilience:
         WebCache.put(healthy, "u1", cacheable())
         WebCache.put(broken, "u1", cacheable())
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, [healthy, broken], qiurl)
+        invalidator = StreamingInvalidationPipeline(db, [healthy, broken], qiurl)
         qiurl.add("SELECT * FROM car WHERE price < 20000", "u1", "s")
         db.execute("INSERT INTO car VALUES ('Kia', 'Rio', 14000)")
         report = invalidator.run_cycle()  # must not raise
         assert report.urls_ejected == 1
         assert "u1" not in healthy
-        assert invalidator.messages.delivery_failures == 1
+        assert invalidator.metrics.deliveries_failed == 1
 
     def test_failed_eject_is_resent_until_delivered(self):
-        """A page whose eject a cache missed stays registered and its
-        eject goes out again next cycle, so the page cannot stay stale."""
+        """A page whose eject a cache missed is ejected on a later cycle,
+        once the bus's retry backoff has run out, and is never served
+        stale after that."""
         from repro import CachePortal, Configuration, Database, KeySpec, build_site
         from repro.web import QueryPageServlet
         from repro.web.cache import FlakyCache
@@ -92,13 +93,22 @@ class TestEjectResilience:
             web_cache=FlakyCache(capacity=100, fail_first=1),
         )
         portal = CachePortal(site)
+        bus = portal.pipeline.bus
+        now = [0.0]
+        bus.clock = lambda: now[0]
         url = "/catalog?category=electronics&max_price=1000"
         site.get(url)
         db.execute("INSERT INTO product VALUES ('tablet', 'electronics', 450)")
         portal.run_invalidation_cycle()
-        assert portal.invalidator.messages.delivery_failures == 1
-        assert portal.invalidator.registry.instances()  # still watched
-        portal.run_invalidation_cycle()  # the eject goes out again
+        assert portal.pipeline.metrics.deliveries_failed == 1
+        assert bus.outstanding == 1  # queued for retry, not dropped
+        portal.run_invalidation_cycle()  # backoff not over: nothing sent
+        assert bus.outstanding == 1 and len(site.web_cache) == 1
+        now[0] += bus.backoff_base
+        portal.run_invalidation_cycle()  # the retry is due: delivered
+        assert bus.outstanding == 0 and not bus.dead_letters
+        assert len(site.web_cache) == 0
+        assert "tablet" in site.get(url).body
         db.execute("INSERT INTO product VALUES ('watch', 'electronics', 300)")
         portal.run_invalidation_cycle()
         body = site.get(url).body

@@ -150,7 +150,7 @@ class TestInvalidatorIntegration:
         which runs :class:`IndependenceChecker` on every pair, ejects."""
         from repro.web.cache import WebCache
         from repro.web.http import CacheControl, HttpResponse
-        from repro.core import Invalidator
+        from repro.stream import StreamingInvalidationPipeline
         from repro.core.qiurl import QIURLMap
         from helpers import make_car_db
         from reference_cycle import ReferenceInvalidator
@@ -159,7 +159,7 @@ class TestInvalidatorIntegration:
             db = make_car_db()
             cache = WebCache()
             qiurl = QIURLMap()
-            invalidator = Invalidator(db, [cache], qiurl)
+            invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
             for index, sql in enumerate(QUERY_INSTANCES[:8]):
                 url = f"u{index}"
                 cache.put(
@@ -188,9 +188,8 @@ class TestBoundMemo:
 
     @staticmethod
     def _consumer(kind):
-        """(database, consumer, its tick, its lanes) for one consumer."""
-        from repro.core import Invalidator
-        from repro.core.qiurl import QIURLMap
+        """(database, consumer, its tick, its checker): ``sync`` ticks
+        through ``run_cycle``, ``stream`` through ``process_available``."""
         from repro.db.engine import Database
         from repro.stream import StreamingInvalidationPipeline
         from repro.web.cache import WebCache
@@ -198,20 +197,15 @@ class TestBoundMemo:
         db = Database()
         db.execute("CREATE TABLE item (price INT, qty INT)")
         # Without version keys every candidate pair reaches the checker.
-        if kind == "sync":
-            invalidator = Invalidator(
-                db, [WebCache()], QIURLMap(), version_keys=False
-            )
-            return db, invalidator, invalidator.run_cycle, [invalidator.lane]
         pipeline = StreamingInvalidationPipeline(
             db, [WebCache()], version_keys=False
         )
-        lanes = [worker.lane for worker in pipeline.pool.workers]
-        return db, pipeline, pipeline.process_available, lanes
+        tick = pipeline.run_cycle if kind == "sync" else pipeline.process_available
+        return db, pipeline, tick, pipeline.tiers.checker
 
     @pytest.mark.parametrize("kind", ["sync", "stream"])
     def test_dropped_instances_leave_the_memo(self, kind):
-        db, consumer, tick, lanes = self._consumer(kind)
+        db, consumer, tick, checker = self._consumer(kind)
         registry = consumer.registry
         for step in range(self.PAGES):
             registry.observe_instance(
@@ -226,7 +220,7 @@ class TestBoundMemo:
         tick()
 
         def memo_keys():
-            return {key for lane in lanes for key in lane.grouped_checker._bound}
+            return set(checker._bound)
 
         live = {instance.instance_id for instance in registry.instances()}
         assert len(live) == self.PAGES // 2
@@ -235,3 +229,35 @@ class TestBoundMemo:
             registry.drop_url(f"/item/{step}")
         assert len(registry) == 0
         assert memo_keys() == set()
+
+
+class TestOneAnalysisCache:
+    """Every tier and the lane's precise check share the tiers' one
+    type-analysis cache."""
+
+    def test_one_type_one_update_builds_two_analyses(self, monkeypatch):
+        from repro.db.engine import Database
+        from repro.stream import StreamingInvalidationPipeline
+        from repro.web.cache import WebCache
+
+        built = []
+        original = TypeAnalysis.of.__func__
+
+        def counting(cls, query_type):
+            built.append(query_type)
+            return original(cls, query_type)
+
+        monkeypatch.setattr(TypeAnalysis, "of", classmethod(counting))
+        db = Database()
+        db.execute("CREATE TABLE item (price INT, qty INT)")
+        pipeline = StreamingInvalidationPipeline(db, [WebCache()], version_keys=False)
+        pipeline.registry.observe_instance(
+            "SELECT qty FROM item WHERE price = 3 AND qty > 5", "/item/3"
+        )
+        db.execute("INSERT INTO item VALUES (3, 10)")
+        pipeline.process_available()
+        assert pipeline.stats()["workers"]["affected"] == 1
+        # The registration-time safety classification builds its own; the
+        # tiers' checker builds the other, for the index and the check.
+        assert len(built) == 2
+        assert pipeline.worker.lane.tiers.checker is pipeline.tiers.checker

@@ -1,11 +1,11 @@
-"""Cycle-level tests for the Invalidator orchestrator."""
+"""Cycle-level tests for the invalidation cycle (`run_cycle`)."""
 
 import pytest
 
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
 from repro.core.qiurl import QIURLMap
-from repro.core.invalidator import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 
 from helpers import make_car_db
 
@@ -18,7 +18,9 @@ def setup(polling_budget=None):
     db = make_car_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(db, [cache], qiurl, polling_budget=polling_budget)
+    invalidator = StreamingInvalidationPipeline(
+        db, [cache], qiurl, polling_budget=polling_budget
+    )
     return db, cache, qiurl, invalidator
 
 
@@ -39,7 +41,7 @@ class TestCycleBasics:
         db = make_car_db()  # the seed DML is already in the log
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, [cache], qiurl)
+        invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
         cache_page(cache, qiurl, "u1", "SELECT * FROM car WHERE price < 99999")
         report = invalidator.run_cycle()
         assert report.records_processed == 0
@@ -92,7 +94,7 @@ class TestCycleBasics:
         db = make_car_db()
         caches = [WebCache(), WebCache()]
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, caches, qiurl)
+        invalidator = StreamingInvalidationPipeline(db, caches, qiurl)
         for cache in caches:
             cache.put("u1", cacheable())
         qiurl.add("SELECT * FROM car WHERE price < 20000", "u1", "s")

@@ -10,7 +10,7 @@ import pytest
 from repro.db import Database
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
-from repro.core import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.qiurl import QIURLMap
 
 
@@ -24,7 +24,7 @@ def build(log_capacity):
     db.execute("INSERT INTO car VALUES ('Honda', 'Civic', 18000)")
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(db, [cache], qiurl)
+    invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
     for index, sql in enumerate(
         ["SELECT * FROM car WHERE price < 20000", "SELECT * FROM car WHERE price < 99999"]
     ):
@@ -79,7 +79,7 @@ class TestTruncationSafetyValve:
         db, cache, invalidator = build(log_capacity=2)
         self.overflow(db)
         invalidator.run_cycle()
-        assert invalidator.updates.truncations_hit == 1
+        assert invalidator.tailer.truncations == 1
 
 
 class TestGroupByValidation:

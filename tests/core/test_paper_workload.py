@@ -110,7 +110,7 @@ class TestPaperWorkload:
     def test_invalidation_time_statistics_recorded(self, run_outcome):
         _site, portal, _db, _reports = run_outcome
         types_with_invalidations = [
-            qt for qt in portal.invalidator.registry.types()
+            qt for qt in portal.pipeline.registry.types()
             if qt.stats.invalidations
         ]
         assert types_with_invalidations

@@ -143,6 +143,6 @@ class TestPolicyIntegration:
             portal.run_invalidation_cycle()
         # After discovery kicks in, the servlet's pages stop being cached.
         disabled = [
-            qt for qt in portal.invalidator.registry.types() if not qt.cacheable
+            qt for qt in portal.pipeline.registry.types() if not qt.cacheable
         ]
         assert disabled

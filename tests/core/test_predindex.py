@@ -340,11 +340,11 @@ class TestCycleEquivalence:
         return db, cache, consumer
 
     def _run(self, reference):
-        from repro.core import Invalidator
+        from repro.stream import StreamingInvalidationPipeline
         from reference_cycle import ReferenceInvalidator
 
         db, cache, invalidator = self._build(
-            lambda db, cache, qiurl: Invalidator(db, [cache], qiurl)
+            lambda db, cache, qiurl: StreamingInvalidationPipeline(db, [cache], qiurl)
         )
         cycle = (
             ReferenceInvalidator(invalidator).run_cycle
@@ -376,7 +376,7 @@ class TestCycleEquivalence:
         assert sum(r.pairs_pruned for r in indexed_reports) > 0
 
     def test_streaming_pipeline_matches_scan(self):
-        from repro.core import Invalidator
+        from repro.stream import StreamingInvalidationPipeline
         from repro.stream import StreamingInvalidationPipeline
         from reference_cycle import ReferenceInvalidator
 
@@ -386,7 +386,7 @@ class TestCycleEquivalence:
             )
         )
         twin_db, twin_cache, twin = self._build(
-            lambda db, cache, qiurl: Invalidator(db, [cache], qiurl)
+            lambda db, cache, qiurl: StreamingInvalidationPipeline(db, [cache], qiurl)
         )
         reference = ReferenceInvalidator(twin)
         # One relation per wave: a stream batch carries one relation, so

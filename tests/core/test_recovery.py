@@ -15,8 +15,8 @@ from repro.core import CachePortal
 from repro.core.recovery import (
     CheckpointError,
     read_checkpoint,
-    restore_portal,
-    snapshot_portal,
+    restore_pipeline,
+    snapshot_pipeline,
     write_checkpoint,
 )
 from repro.core.invalidator.predindex import PredicateIndex
@@ -110,15 +110,15 @@ class TestPortalRoundTrip:
         site.get("/catalog?max_price=21000")
         site.get("/efficient?min_epa=20")
         portal.run_invalidation_cycle()
-        before = portal.invalidator.registry.stats()
+        before = portal.pipeline.registry.stats()
         map_before = sorted(portal.qiurl_map.urls())
         path = tmp_path / "p.ckpt"
         portal.checkpoint(path)
 
         portal = crash_restart(site, portal)
-        assert portal.invalidator.registry.stats()["query_instances"] == 0
+        assert portal.pipeline.registry.stats()["query_instances"] == 0
         report = portal.restore(path)
-        assert portal.invalidator.registry.stats() == before
+        assert portal.pipeline.registry.stats() == before
         assert sorted(portal.qiurl_map.urls()) == map_before
         assert report.types_restored == before["query_types"]
         assert report.instances_restored == before["query_instances"]
@@ -131,7 +131,7 @@ class TestPortalRoundTrip:
         db = site.database
         db.execute("INSERT INTO car VALUES ('Kia','Rio',14000)")
         portal.run_invalidation_cycle()
-        registry = portal.invalidator.registry
+        registry = portal.pipeline.registry
         (query_type,) = registry.types()
         query_type.priority = 5
         query_type.cost = 2.5
@@ -145,7 +145,7 @@ class TestPortalRoundTrip:
 
         portal = crash_restart(site, portal)
         portal.restore(path)
-        (restored,) = portal.invalidator.registry.types()
+        (restored,) = portal.pipeline.registry.types()
         assert restored.signature == query_type.signature
         assert restored.priority == 5 and restored.cost == 2.5
         assert (
@@ -225,7 +225,7 @@ class TestTruncatedLogOnRestore:
         # The flush-all valve ejected every watched page: nothing stale
         # can survive, and the registry watches nothing dead.
         assert site.web_cache.keys() == []
-        assert portal.invalidator.registry.stats()["query_instances"] == 0
+        assert portal.pipeline.registry.stats()["query_instances"] == 0
         # The portal is live again: reload and invalidate normally.
         site.get(url)
         portal.run_invalidation_cycle()
@@ -248,8 +248,9 @@ class TestTruncatedLogOnRestore:
 
 
 class TestUndeliveredEjects:
-    """An eject some cache missed is retried across a restart: the retry
-    set is durable state, like the cursor it was computed from."""
+    """An eject some cache missed is retried across a restart: the bus's
+    undelivered ejects are durable state, like the cursor they were
+    computed from."""
 
     @staticmethod
     def flaky_portal(db, fail_first=1):
@@ -263,6 +264,10 @@ class TestUndeliveredEjects:
         )
         return site, CachePortal(site)
 
+    @staticmethod
+    def undelivered(portal):
+        return portal.pipeline.bus.snapshot_state()["undelivered"]
+
     def test_failed_eject_is_resent_after_restore(self, tmp_path):
         db = make_car_db()
         site, portal = self.flaky_portal(db)
@@ -270,7 +275,7 @@ class TestUndeliveredEjects:
         site.get(url)
         db.execute("INSERT INTO car VALUES ('Kia', 'Rio', 14000)")
         portal.run_invalidation_cycle()
-        assert len(portal.invalidator.undelivered) == 1
+        assert len(self.undelivered(portal)) == 1
         path = tmp_path / "p.ckpt"
         portal.checkpoint(path)
         portal = crash_restart(site, portal)
@@ -278,21 +283,38 @@ class TestUndeliveredEjects:
         for _ in range(3):
             portal.run_invalidation_cycle()
         assert "Rio" in site.get(url).body
-        assert not portal.invalidator.undelivered
+        assert not self.undelivered(portal)
         assert report.ejects_republished == 1
 
     def test_checkpoint_without_retry_set_restores(self, tmp_path):
         site, portal = make_portal()
         site.get("/catalog?max_price=30000")
         portal.run_invalidation_cycle()
-        payload = snapshot_portal(portal)
-        del payload["undelivered"]
+        payload = snapshot_pipeline(portal.pipeline)
+        del payload["bus"]
         path = tmp_path / "old.ckpt"
         write_checkpoint(path, payload)
         portal = crash_restart(site, portal)
         report = portal.restore(path)
         assert report.ejects_republished == 0
         assert report.instances_restored == 1
+
+    def test_portal_checkpoint_retry_set_is_republished(self, tmp_path):
+        """Portal checkpoints of earlier releases carried a null bus and
+        their retry set under ``undelivered``."""
+        site, portal = make_portal()
+        url = "/catalog?max_price=30000"
+        site.get(url)
+        portal.run_invalidation_cycle()
+        payload = snapshot_pipeline(portal.pipeline)
+        payload.update(kind="portal", bus=None, undelivered=[site.web_cache.keys()[0]])
+        path = tmp_path / "old.ckpt"
+        write_checkpoint(path, payload)
+        portal = crash_restart(site, portal)
+        report = portal.restore(path, reconcile_caches=False)
+        assert report.ejects_republished == 1
+        portal.run_invalidation_cycle()
+        assert len(site.web_cache) == 0
 
     def test_failed_flush_eject_is_retried(self, tmp_path):
         db = make_bounded_car_db(capacity=4)
@@ -305,17 +327,24 @@ class TestUndeliveredEjects:
         for i in range(8):
             db.execute(f"INSERT INTO car VALUES ('M{i}','X{i}',{1000 + i})")
         portal = crash_restart(site, portal)
+        now = [0.0]
+        portal.pipeline.bus.clock = lambda: now[0]
         # Without reconciliation: the orphan sweep would eject the page
         # directly, hiding whether the flush eject itself is retried.
         report = portal.restore(path, reconcile_caches=False)
         assert report.log_truncated and report.flushed_urls == 1
         # The flush eject hit the cache's one fault: it stays queued ...
         assert len(site.web_cache) == 1
-        assert list(portal.invalidator.undelivered) == site.web_cache.keys()
-        # ... and the next cycle delivers it.
+        assert self.undelivered(portal) == site.web_cache.keys()
+        # ... through a cycle inside its retry backoff ...
+        portal.run_invalidation_cycle()
+        assert len(site.web_cache) == 1
+        assert self.undelivered(portal) == site.web_cache.keys()
+        # ... and a cycle after the retry is due delivers it.
+        now[0] += 1.0
         portal.run_invalidation_cycle()
         assert len(site.web_cache) == 0
-        assert not portal.invalidator.undelivered
+        assert not self.undelivered(portal)
 
 
 class TestPredicateIndexParity:
@@ -361,8 +390,8 @@ class TestInMemorySnapshotHelpers:
         site, portal = make_portal()
         site.get("/catalog?max_price=21000")
         portal.run_invalidation_cycle()
-        payload = snapshot_portal(portal)
+        payload = snapshot_pipeline(portal.pipeline)
         portal = crash_restart(site, portal)
-        report = restore_portal(portal, payload)
+        report = restore_pipeline(portal.pipeline, payload)
         assert report.instances_restored >= 1
         assert report.path is None

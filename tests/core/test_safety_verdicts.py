@@ -21,7 +21,7 @@ from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
 from repro.core import CachePortal
 from repro.core.qiurl import QIURLMap
-from repro.core.invalidator import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.invalidator.safety import (
     RULE_VERDICT_FLOORS,
     SafetyVerdict,
@@ -49,7 +49,7 @@ def setup(safety_enforcement=True):
     db = make_car_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(
+    invalidator = StreamingInvalidationPipeline(
         db, [cache], qiurl, safety_enforcement=safety_enforcement
     )
     return db, cache, qiurl, invalidator
@@ -155,8 +155,8 @@ class TestAlwaysEjectEnforcement:
         cache_page(cache, qiurl, "u-now", NOW_SQL)
         cache_page(cache, qiurl, "u-safe", SAFE_SQL)
         checked = []
-        original = invalidator.grouped_checker.check_instance
-        invalidator.grouped_checker.check_instance = (
+        original = invalidator.tiers.checker.check_instance
+        invalidator.tiers.checker.check_instance = (
             lambda inst, rec: (checked.append(inst.sql), original(inst, rec))[1]
         )
         db.execute("INSERT INTO car VALUES ('Kia', 'Rio', 14000)")
@@ -284,7 +284,7 @@ class TestFingerprintCheckpointRoundTrip:
         portal.run_invalidation_cycle()  # promoted to trusted
         instance = next(
             inst
-            for inst in portal.invalidator.registry.instances()
+            for inst in portal.pipeline.registry.instances()
             if inst.sql == POLL_SQL
         )
         fingerprint = instance.result_fingerprint
@@ -298,7 +298,7 @@ class TestFingerprintCheckpointRoundTrip:
         assert report.fingerprints_restored == 1
         restored = next(
             inst
-            for inst in revived.invalidator.registry.instances()
+            for inst in revived.pipeline.registry.instances()
             if inst.sql == POLL_SQL
         )
         assert restored.result_fingerprint == fingerprint
@@ -308,9 +308,9 @@ class TestFingerprintCheckpointRoundTrip:
         site, portal = self.make_portal()
         cache_page(site.web_cache, portal.qiurl_map, "u-now", NOW_SQL)
         portal.run_invalidation_cycle()
-        from repro.core.recovery import snapshot_portal
+        from repro.core.recovery import snapshot_pipeline
 
-        snapshot = snapshot_portal(portal)
+        snapshot = snapshot_pipeline(portal.pipeline)
         verdicts = {
             spec["signature"]: spec["safety"]
             for spec in snapshot["registry"]["types"]

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import RoutingError
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
-from repro.core import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.qiurl import QIURLMap
 
 from helpers import make_car_db
@@ -31,7 +31,7 @@ def build(sensitivities, budget):
     db = make_car_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(
+    invalidator = StreamingInvalidationPipeline(
         db, [cache], qiurl,
         polling_budget=budget,
         servlet_deadline=lambda name: sensitivities[name],
@@ -48,7 +48,7 @@ class TestDeadlineDerivation:
         db, cache, invalidator = build(
             {"servlet_a": 50.0, "servlet_b": 5000.0}, budget=None
         )
-        invalidator.ingest_qiurl_rows()
+        invalidator.registration.scan(invalidator.qiurl_map.read_new())
         by_servlet = {
             next(iter(instance.servlets)): instance
             for instance in invalidator.registry.instances()
@@ -62,7 +62,7 @@ class TestDeadlineDerivation:
             raise RoutingError(f"no servlet named {name!r}")
 
         db = make_car_db()
-        invalidator = Invalidator(
+        invalidator = StreamingInvalidationPipeline(
             db, [WebCache()], QIURLMap(), servlet_deadline=resolver
         )
         instance = invalidator.registry.observe_instance(
@@ -77,7 +77,7 @@ class TestDeadlineDerivation:
         def resolver(name):
             raise ValueError(name)
 
-        invalidator = Invalidator(
+        invalidator = StreamingInvalidationPipeline(
             make_car_db(), [WebCache()], QIURLMap(), servlet_deadline=resolver
         )
         instance = invalidator.registry.observe_instance(
@@ -125,9 +125,9 @@ class TestBudgetedOrdering:
         portal = CachePortal(site)
         site.get("/efficient?min_epa=30")
         portal.run_sniffer()
-        portal.invalidator.ingest_qiurl_rows()
-        instance = portal.invalidator.registry.instances()[0]
-        assert portal.invalidator.tiers.deadline_for(instance) == 1000.0  # type default
+        portal.pipeline.registration.scan(portal.qiurl_map.read_new())
+        instance = portal.pipeline.registry.instances()[0]
+        assert portal.pipeline.tiers.deadline_for(instance) == 1000.0  # type default
         servlets[1].temporal_sensitivity_ms = 100.0
         # The wrapped servlet shares metadata captured at wrap time, so
         # resolve via the portal's resolver directly:

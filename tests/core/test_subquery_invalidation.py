@@ -11,7 +11,7 @@ from repro.db.log import ChangeKind, UpdateRecord
 from repro.sql.parser import parse_statement
 from repro.web.cache import WebCache
 from repro.web.http import CacheControl, HttpResponse
-from repro.core import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.invalidator.analysis import IndependenceChecker, VerdictKind
 from repro.core.invalidator.grouping import GroupedChecker
 from repro.core.invalidator.registration import QueryTypeRegistry
@@ -98,7 +98,7 @@ class TestEndToEnd:
         db = make_car_db()
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, [cache], qiurl)
+        invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
         cache.put("u1", self.cacheable())
         qiurl.add(IN_SUBQUERY_SQL, "u1", "s")
         db.execute("INSERT INTO mileage VALUES ('Rio', 40)")
@@ -110,7 +110,7 @@ class TestEndToEnd:
         db = make_car_db()
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, [cache], qiurl)
+        invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
         cache.put("u1", self.cacheable())
         qiurl.add(UNION_SQL, "u1", "s")
         db.execute("INSERT INTO mileage VALUES ('Rio', 40)")

@@ -14,7 +14,7 @@ usable; truncation floors them conservatively).
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CachePortal
-from repro.core.invalidator import Invalidator
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.invalidator.safety import (
     SafetyVerdict,
     classify_template,
@@ -114,7 +114,7 @@ def build_invalidator(version_keys=True):
     db = make_car_db()
     cache = WebCache()
     qiurl = QIURLMap()
-    invalidator = Invalidator(db, [cache], qiurl, version_keys=version_keys)
+    invalidator = StreamingInvalidationPipeline(db, [cache], qiurl, version_keys=version_keys)
     return db, cache, qiurl, invalidator
 
 
@@ -428,11 +428,11 @@ class TestCheckpointRoundTrip:
         db = site.database
         site.get("/catalog?max_price=10000")
         portal.run_invalidation_cycle()
-        payload = recovery.snapshot_portal(portal)
+        payload = recovery.snapshot_pipeline(portal.pipeline)
         del payload["version_keys"]  # simulate a pre-fast-path checkpoint
         db.execute("INSERT INTO car VALUES ('Rolls','Ghost',400000)")
         portal = crash_restart(site, portal)
-        report = recovery.restore_portal(portal, payload)
+        report = recovery.restore_pipeline(portal.pipeline, payload)
         assert report.version_keys_restored == 0
         cycle = portal.run_invalidation_cycle()
         # Without counters nothing is provable about pre-checkpoint
@@ -465,7 +465,7 @@ class TestCheckpointRoundTrip:
         # Flush-all ejected the watched page; the lost bumps can never be
         # vouched around.
         assert not cached(site, url)
-        floor = portal.invalidator.version_index.stats()["floor"]
+        floor = portal.pipeline.version_index.stats()["floor"]
         assert floor >= report.cursor_lsn
         # Life after truncation: a recached page stamps above the floor
         # and the fast path resumes for irrelevant updates.

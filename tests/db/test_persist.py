@@ -83,7 +83,7 @@ class TestLogBehaviour:
         assert record.lsn >= head_before
 
     def test_invalidator_on_restored_database(self, car_db, tmp_path):
-        from repro.core import Invalidator
+        from repro.stream import StreamingInvalidationPipeline
         from repro.core.qiurl import QIURLMap
         from repro.web.cache import WebCache
         from repro.web.http import CacheControl, HttpResponse
@@ -92,7 +92,7 @@ class TestLogBehaviour:
         restored = load(tmp_path / "db.json")
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(restored, [cache], qiurl)
+        invalidator = StreamingInvalidationPipeline(restored, [cache], qiurl)
         cache.put(
             "u1",
             HttpResponse(body="p", cache_control=CacheControl.cacheportal_private()),

@@ -151,14 +151,14 @@ class TestLogPublication:
 
 class TestInvalidatorInterplay:
     def make(self, db):
-        from repro.core import Invalidator
+        from repro.stream import StreamingInvalidationPipeline
         from repro.core.qiurl import QIURLMap
         from repro.web.cache import WebCache
         from repro.web.http import CacheControl, HttpResponse
 
         cache = WebCache()
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, [cache], qiurl)
+        invalidator = StreamingInvalidationPipeline(db, [cache], qiurl)
         cache.put(
             "u1",
             HttpResponse(body="p", cache_control=CacheControl.cacheportal_private()),

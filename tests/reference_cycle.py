@@ -1,7 +1,7 @@
 """Reference invalidation cycle: the oracle of the decision parity tests.
 
-:meth:`Invalidator.run_cycle` decides each (query instance, change) pair
-through three fast paths: the predicate index picks the candidate
+:meth:`StreamingInvalidationPipeline.run_cycle` decides each (query
+instance, change) pair through three fast paths: the predicate index picks the candidate
 instances, the grouped checker shares one analysis per query type, and
 the batch poller folds the polls of one template into one delta-join.
 :class:`ReferenceInvalidator` decides the same pairs without any of
@@ -10,8 +10,11 @@ per-instance :class:`IndependenceChecker`, one
 :meth:`PollingQueryGenerator.poll` per task — and otherwise walks the
 same cascade (safety verdicts, static matrix, version keys).
 
-Drive it on a twin invalidator fed the same pages and updates as the
-one under test: ejects and decision counters must agree.
+Drive it on a twin pipeline fed the same pages and updates as the one
+under test: the reference reads the twin's tiers and keeps its own
+update-log cursor (the twin's tailer only mirrors it), and ejects and
+decision counters must agree with the product's for cycles of at most
+one tail batch.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict
 
-from repro.core.invalidator import Invalidator
 from repro.core.invalidator.analysis import IndependenceChecker, Verdict, VerdictKind
 from repro.core.invalidator.invalidator import InvalidationReport
 from repro.core.invalidator.polling import PollingQueryGenerator
@@ -27,27 +29,32 @@ from repro.core.invalidator.registration import QueryInstance
 from repro.core.invalidator.safety import SafetyVerdict
 from repro.core.invalidator.updates import dedupe_records
 from repro.db.log import UpdateRecord
+from repro.stream import StreamingInvalidationPipeline
 
 AFFECTED = Verdict(VerdictKind.AFFECTED)
 UNAFFECTED = Verdict(VerdictKind.UNAFFECTED)
 
 
 class ReferenceInvalidator:
-    """Runs reference cycles over ``invalidator``'s registry and tiers."""
+    """Runs reference cycles over ``pipeline``'s registry and tiers."""
 
-    def __init__(self, invalidator: Invalidator) -> None:
-        assert invalidator.tiers.polling_budget is None, "polls every task"
-        self.invalidator = invalidator
+    def __init__(self, pipeline: StreamingInvalidationPipeline) -> None:
+        assert pipeline.tiers.polling_budget is None, "polls every task"
+        self.pipeline = pipeline
+        self.cursor = pipeline.tailer.cursor
         self.checker = IndependenceChecker()
-        self.polling = PollingQueryGenerator(invalidator.database)
+        self.polling = PollingQueryGenerator(pipeline.database)
 
     def run_cycle(self) -> InvalidationReport:
-        invalidator = self.invalidator
-        tiers = invalidator.tiers
-        invalidator.ingest_qiurl_rows()
+        pipeline = self.pipeline
+        tiers = pipeline.tiers
+        tiers.registration.scan(pipeline.qiurl_map.read_new())
         tiers.safety.prepare_cycle(promote=True)
-        deltas, lost = invalidator.updates.pull_or_lose()
-        assert not lost
+        deltas = pipeline.database.update_log.deltas_since(self.cursor)
+        if deltas.last_lsn is not None:
+            self.cursor = deltas.last_lsn
+            # Version keys stamp new instances with the tailer's cursor.
+            pipeline.tailer.seek(self.cursor)
         tables = deltas.tables()
         if tiers.version_index is not None:
             for table in tables:
@@ -84,7 +91,12 @@ class ReferenceInvalidator:
                 doomed[instance.instance_id] = instance
         report = InvalidationReport(**counts)
         urls = sorted({url for instance in doomed.values() for url in instance.urls})
-        invalidator._eject(urls, report)
+        removed = pipeline.metrics.pages_removed
+        pipeline.bus.publish(urls)
+        pipeline.bus.pump()
+        report.urls_ejected = len(urls)
+        report.pages_removed = pipeline.metrics.pages_removed - removed
+        tiers.drop_urls(urls)
         for name, value in tiers.registry_counts().items():
             setattr(report, name, value)
         return report
@@ -92,7 +104,7 @@ class ReferenceInvalidator:
     def _decide(
         self, instance: QueryInstance, record: UpdateRecord, counts: Counter
     ) -> Verdict:
-        tiers = self.invalidator.tiers
+        tiers = self.pipeline.tiers
         safety = instance.query_type.safety if tiers.safety.enabled else None
         if safety is not None and safety.verdict >= SafetyVerdict.POLL_ONLY:
             if safety.verdict is SafetyVerdict.ALWAYS_EJECT:

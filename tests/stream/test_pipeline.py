@@ -5,9 +5,11 @@ import threading
 import pytest
 
 from helpers import car_servlets, make_car_db
+from reference_cycle import ReferenceInvalidator
 from repro import CachePortal, Configuration, Database, build_site
+from repro.core.invalidator import InvalidationPolicy
 from repro.web.cache import FlakyCache, WebCache
-from repro.stream import StreamingInvalidationPipeline
+from repro.stream import EjectBus, StreamingInvalidationPipeline
 
 
 class RecordingCache(WebCache):
@@ -27,12 +29,12 @@ class RecordingCache(WebCache):
         return super().handle_message(request, url_key)
 
 
-def portal_site():
+def portal_site(**portal_kwargs):
     db = make_car_db()
     site = build_site(
         Configuration.WEB_CACHE, car_servlets(), database=db, num_servers=2
     )
-    return db, site, CachePortal(site)
+    return db, site, CachePortal(site, **portal_kwargs)
 
 
 class TestPortalIntegration:
@@ -70,15 +72,12 @@ class TestPortalIntegration:
         assert stats["workers"]["polls_executed"] >= 1
 
     def test_matches_synchronous_invalidator(self):
-        """Same workload, same surviving pages as the paper's invalidator."""
+        """Same workload, same surviving pages as the reference cycle of
+        the paper's invalidator (``tests/reference_cycle.py``)."""
 
-        def run(streaming):
+        def run(reference):
             db, site, portal = portal_site()
-            pipeline = (
-                StreamingInvalidationPipeline.for_portal(portal)
-                if streaming
-                else None
-            )
+            pipeline = StreamingInvalidationPipeline.for_portal(portal)
             urls = [
                 "/catalog?max_price=15000",
                 "/catalog?max_price=30000",
@@ -88,19 +87,18 @@ class TestPortalIntegration:
                 site.get(url)
             db.execute("INSERT INTO car VALUES ('Kia','Rio',16000)")
             db.execute("DELETE FROM mileage WHERE model = 'Civic'")
-            if streaming:
-                pipeline.process_available()
+            if reference:
+                portal.run_sniffer()
+                ReferenceInvalidator(pipeline).run_cycle()
             else:
-                portal.run_invalidation_cycle()
+                pipeline.process_available()
             return sorted(site.web_cache.keys())
 
-        assert run(streaming=True) == run(streaming=False)
+        assert run(reference=False) == run(reference=True)
 
     def test_zero_polling_budget_over_invalidates(self):
-        db, site, portal = portal_site()
-        pipeline = StreamingInvalidationPipeline.for_portal(
-            portal, polling_budget=0
-        )
+        db, site, portal = portal_site(polling_budget=0)
+        pipeline = StreamingInvalidationPipeline.for_portal(portal)
         site.get("/efficient?min_epa=20")
         db.execute("INSERT INTO car VALUES ('Saturn','SL2',14000)")
         pipeline.process_available()
@@ -108,6 +106,46 @@ class TestPortalIntegration:
         assert stats["workers"]["polls_executed"] == 0
         assert stats["workers"]["over_invalidated"] >= 1
         assert len(site.web_cache) == 0  # ejected without polling
+
+
+class TestOnePortalOneConsumer:
+    def test_portal_settings_reach_the_consumer(self):
+        policy = InvalidationPolicy(max_update_frequency=5.0)
+        db, site, portal = portal_site(
+            polling_budget=0,
+            version_keys=False,
+            conflict_matrix=False,
+            safety_enforcement=False,
+            policy=policy,
+        )
+        pipeline = StreamingInvalidationPipeline.for_portal(portal)
+        assert pipeline is portal.pipeline
+        tiers = pipeline.tiers
+        assert tiers.polling_budget == 0
+        assert pipeline.worker.lane.scheduler.polling_budget == 0
+        assert tiers.version_index is None
+        assert tiers.conflict_matrix is None
+        assert not tiers.safety.enabled
+        assert tiers.policy_engine.policy is policy
+        assert tiers.servlet_deadline == portal._servlet_deadline
+        assert pipeline.pre_ingest == portal.run_sniffer
+        assert [target.cache for target in pipeline.bus.targets()] == [site.web_cache]
+
+    def test_the_portal_cycle_is_the_pipeline_cycle(self):
+        db, site, portal = portal_site()
+        site.get("/catalog?max_price=30000")
+        db.execute("INSERT INTO car VALUES ('Kia','Rio',12000)")
+        report = portal.run_invalidation_cycle()
+        assert report.urls_ejected == 1 and report.records_processed == 1
+        assert portal.pipeline.last_report is report
+        assert portal.pipeline.cycles_run == 1
+        assert portal.pipeline.stats()["workers"]["affected"] == report.affected
+
+    def test_cacheability_veto_asks_the_pipeline(self):
+        db, site, portal = portal_site()
+        portal.pipeline.policy_engine.mark_servlet_uncacheable("catalog")
+        site.get("/catalog?max_price=30000")
+        assert len(site.web_cache) == 0
 
 
 class TestOrdering:
@@ -197,6 +235,35 @@ class TestFaultTolerance:
         ][0]
         assert healthy_target.delivered == len(urls)
         assert healthy_target.failed_attempts == 0
+
+
+class TestTickNeverSleeps:
+    def test_backoff_is_left_to_later_ticks_and_drain(self, monkeypatch):
+        """A failing cache's retry backoff never blocks the tick: only
+        ``drain`` waits, until the bus's next retry is due."""
+        import repro.stream.pipeline as pipeline_module
+
+        db = Database()
+        db.execute("CREATE TABLE item (price INT)")
+        bus = EjectBus(backoff_base=0.05)
+        pipeline = StreamingInvalidationPipeline(db, bus=bus)
+        flaky = FlakyCache(fail_first=3)
+        pipeline.register_cache("flaky", flaky)
+        pipeline.registry.observe_instance(
+            "SELECT price FROM item WHERE price = 1", "/item/1"
+        )
+        db.execute("INSERT INTO item VALUES (1)")
+        slept = []
+        real_sleep = pipeline_module.time.sleep
+        monkeypatch.setattr(pipeline_module.time, "sleep", slept.append)
+        pipeline.process_available()
+        pipeline.process_available()
+        assert slept == []
+        assert bus.outstanding == 1 and flaky.messages_failed >= 1
+        monkeypatch.setattr(pipeline_module.time, "sleep", real_sleep)
+        assert pipeline.drain(timeout=10.0)
+        assert bus.outstanding == 0 and not bus.dead_letters
+        assert flaky.messages_failed == 3
 
 
 class TestSafetyValve:

@@ -12,7 +12,8 @@ from repro.web.hierarchy import (
     standard_hierarchy,
 )
 from repro.web.http import CacheControl, HttpResponse
-from repro.core import CachePortal, Invalidator
+from repro.core import CachePortal
+from repro.stream import StreamingInvalidationPipeline
 from repro.core.qiurl import QIURLMap
 
 from helpers import car_servlets, make_car_db
@@ -113,7 +114,7 @@ class TestVerticalInvalidation:
         hierarchy = two_levels()
         site = HierarchicalSite(origin, hierarchy)
         qiurl = QIURLMap()
-        invalidator = Invalidator(db, hierarchy.caches, qiurl)
+        invalidator = StreamingInvalidationPipeline(db, hierarchy.caches, qiurl)
         return db, site, hierarchy, qiurl, invalidator
 
     def test_invalidator_reaches_every_level(self):
@@ -141,8 +142,8 @@ class TestHierarchicalSiteWithPortal:
         # register every level with the portal's invalidator.
         hierarchy = two_levels()
         site = HierarchicalSite(origin, hierarchy)
-        for cache in hierarchy.caches:
-            portal.invalidator.messages.add_cache(cache)
+        for level, cache in enumerate(hierarchy.caches):
+            portal.pipeline.register_cache(f"level{level}", cache)
 
         first, source1 = site.fetch_with_source("/catalog?max_price=21000")
         assert source1 == "origin"
